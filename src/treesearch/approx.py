@@ -176,34 +176,6 @@ def _induced_components(inst: TreeInstance, verts) -> list[frozenset[int]]:
     return comps
 
 
-def _rooted_arrays(inst: TreeInstance, root: int) -> tuple[dict[int, int], dict[int, int]]:
-    parent = {root: 0}
-    depth = {root: 0}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in inst.adjacency[x]:
-            if y not in parent:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                stack.append(y)
-    return parent, depth
-
-
-def _path_interior(parent, depth, u: int, v: int) -> list[int]:
-    """Vertices strictly between ``u`` and ``v``."""
-    ups, vps = [], []
-    while u != v:
-        if depth[u] >= depth[v]:
-            ups.append(u)
-            u = parent[u]
-        else:
-            vps.append(v)
-            v = parent[v]
-    full = ups + [u] + vps[::-1]
-    return full[1:-1]
-
-
 def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
     """Build the nested separator sets for one region and threshold.
 
@@ -269,7 +241,10 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
     Two separator vertices are joined exactly when the path between them
     contains no other separator vertex.  For separator sets produced by
     :func:`separator_sets` (which include every branch vertex of their
-    spanning subtree) the result is a tree.
+    spanning subtree) the result is a tree, found in one traversal rooted
+    at the smallest separator: every other separator is joined to its
+    nearest separator ancestor.  Edges come out as sorted ``(u, v)``
+    pairs with ``u < v``.
     """
     zs = sorted(separators)
     assert zs, "separator set must be non-empty"
@@ -279,12 +254,21 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
         return AuxiliaryTree((v,), (), instance, (v,))
 
     zset = frozenset(zs)
-    parent, depth = _rooted_arrays(inst, zs[0])
+    nearest = {zs[0]: zs[0]}  # closest separator at or above each visited vertex
     edges = []
-    for i, u in enumerate(zs):
-        for v in zs[i + 1 :]:
-            if zset.isdisjoint(_path_interior(parent, depth, u, v)):
-                edges.append((u, v))
+    stack = [zs[0]]
+    while stack and len(edges) < len(zs) - 1:
+        x = stack.pop()
+        up = nearest[x]
+        for y in inst.adjacency[x]:
+            if y not in nearest:
+                if y in zset:
+                    edges.append((up, y) if up < y else (y, up))
+                    nearest[y] = y
+                else:
+                    nearest[y] = up
+                stack.append(y)
+    edges.sort()
 
     index = {v: i + 1 for i, v in enumerate(zs)}
     instance = tree_instance(

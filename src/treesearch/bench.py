@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .approx import create_decision_tree
 from .core import evaluate_cost
-from .errors import StateLimitExceeded
+from .errors import InvalidParameters, StateLimitExceeded
 from .exact import SolveLimits, opt_exact
 from .generators import COST_MODELS, SHAPES, generate_instance
 from .modularity import k_up_modularity
@@ -35,6 +35,14 @@ class BenchConfig:
     seed: int = 0
     exact_cap: int = 14
     state_limit: int = 5_000_000
+
+    def __post_init__(self):
+        lo, hi = self.n_range
+        if lo < 1 or lo > hi:
+            raise InvalidParameters(f"n_range must satisfy 1 <= n_min <= n_max, got {self.n_range}")
+        if self.count < 0:
+            raise InvalidParameters(f"count must be non-negative, got {self.count}")
+        SolveLimits(self.state_limit)  # rejects a state budget below 1
 
 
 @dataclass(frozen=True)

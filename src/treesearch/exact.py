@@ -4,9 +4,13 @@ The recursion follows the query semantics directly: the best strategy for
 a connected candidate set picks the query minimising its own cost plus
 the worst component left behind.  Candidate sets are memoised as
 bitmasks, and costs are rescaled to integers over a common denominator so
-the inner loop stays in machine arithmetic.  Connected-subtree counts
-grow exponentially on branchy trees, so every solve carries an explicit
-state budget and fails fast once it is exhausted.
+the inner loop stays in machine arithmetic.  The tree is rooted once up
+front to record, for every edge ``(i, j)``, the bitmask of the vertices
+on ``j``'s side; removing ``i`` from a connected set then splits it into
+one component per neighbour in O(deg i) mask operations, with no search.
+Connected-subtree counts grow exponentially on branchy trees, so every
+solve carries an explicit state budget and fails fast once it is
+exhausted.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DecisionTree, TreeInstance
-from .errors import NotConnected, StateLimitExceeded
+from .errors import InvalidParameters, NotConnected, StateLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -27,28 +31,15 @@ class SolveLimits:
 
     def __post_init__(self):
         if self.max_states < 1:
-            raise ValueError("max_states must be at least 1")
+            raise InvalidParameters(f"max_states must be at least 1, got {self.max_states}")
 
 
-def _components(mask: int, adj: list[int]) -> list[int]:
-    """Connected components of a bitmask, in increasing lowest-bit order."""
-    comps = []
-    rem = mask
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                bit = f & -f
-                f ^= bit
-                grow |= adj[bit.bit_length() - 1]
-            frontier = grow & rem & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+def _lowest_bit(mask: int) -> int:
+    return mask & -mask
+
+
+def _largest_first(mask: int) -> tuple[int, int]:
+    return -mask.bit_count(), mask & -mask
 
 
 def opt_exact(
@@ -62,7 +53,9 @@ def opt_exact(
     ordered by their smallest vertex, so the witness is deterministic.
 
     Raises :class:`StateLimitExceeded` when the number of distinct
-    candidate sets explored exceeds ``limits.max_states``.
+    candidate sets explored exceeds ``limits.max_states``, or when the
+    recursion (one level per nested candidate set) runs out of
+    interpreter stack.
     """
     if limits is None:
         limits = SolveLimits()
@@ -72,17 +65,28 @@ def opt_exact(
         raise NotConnected("empty vertex set")
     pos = {v: i for i, v in enumerate(verts)}
 
-    adj = [0] * m
-    for v in verts:
-        i = pos[v]
-        for u in inst.adjacency[v]:
+    # Root the restricted tree at index 0.  side[i] lists, for each
+    # neighbour j of i, the bitmask of the vertices on j's side of edge
+    # (i, j); the components of a connected mask minus i are then the
+    # non-empty ``mask & s`` over ``s in side[i]``.
+    parent = [-1] * m
+    order = [0]
+    for x in order:
+        for u in inst.adjacency[verts[x]]:
             j = pos.get(u)
-            if j is not None:
-                adj[i] |= 1 << j
-
-    full = (1 << m) - 1
-    if m > 1 and _components(full, adj)[0] != full:
+            if j is not None and j != parent[x]:
+                parent[j] = x
+                order.append(j)
+    if len(order) < m:
         raise NotConnected(f"vertex set of size {m} is not connected")
+    full = (1 << m) - 1
+    below = [1 << i for i in range(m)]
+    side: list[list[int]] = [[] for _ in range(m)]
+    for x in reversed(order[1:]):
+        p = parent[x]
+        below[p] |= below[x]
+        side[p].append(below[x])
+        side[x].append(full ^ below[x])
 
     denom = math.lcm(*(inst.cost(v).denominator for v in verts))
     weight = [inst.cost(v).numerator * (denom // inst.cost(v).denominator) for v in verts]
@@ -90,11 +94,10 @@ def opt_exact(
     memo: dict[int, int] = {}
     choice: dict[int, int] = {}
     max_states = limits.max_states
+    unbeaten = sum(weight) + 1  # above every strategy's cost
 
     def solve(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
+        """Optimum of a connected mask that is not memoised yet."""
         if len(memo) >= max_states:
             raise StateLimitExceeded(f"exact solve exceeded {max_states} memo states")
         if mask & (mask - 1) == 0:
@@ -102,45 +105,55 @@ def opt_exact(
             memo[mask] = weight[i]
             choice[mask] = i
             return weight[i]
-        best = -1
+        best = unbeaten
         scan = mask
         while scan:
             bit = scan & -scan
             scan ^= bit
             i = bit.bit_length() - 1
             wi = weight[i]
-            if best >= 0 and wi >= best:
+            if wi >= best:
                 continue  # components cost at least one more query
-            comps = _components(mask ^ bit, adj)
-            comps.sort(key=lambda c: -c.bit_count())
+            # Largest component first, ties to the lowest bit; two
+            # components (every path split) are ordered inline.
+            comps = [c for s in side[i] if (c := mask & s)]
+            if len(comps) == 2:
+                a, b = comps
+                na, nb = a.bit_count(), b.bit_count()
+                if nb > na or (nb == na and b & -b < a & -a):
+                    comps = (b, a)
+            elif len(comps) > 2:
+                comps.sort(key=_largest_first)
             worst = 0
-            viable = True
             for comp in comps:
-                sub = solve(comp)
+                sub = memo.get(comp)
+                if sub is None:
+                    sub = solve(comp)
                 if sub > worst:
                     worst = sub
-                    if best >= 0 and wi + worst >= best:
-                        viable = False
+                    if wi + worst >= best:
                         break
-            if viable:
-                total = wi + worst
-                if best < 0 or total < best:
-                    best = total
-                    choice[mask] = i
+            else:  # no break, so wi + worst < best
+                best = wi + worst
+                choice[mask] = i
         memo[mask] = best
         return best
-
-    value = solve(full)
 
     children: dict[int, tuple[int, ...]] = {}
 
     def rebuild(mask: int) -> int:
         i = choice[mask]
         v = verts[i]
-        kids = tuple(rebuild(comp) for comp in _components(mask ^ (1 << i), adj))
-        if kids:
-            children[v] = kids
+        comps = sorted((c for s in side[i] if (c := mask & s)), key=_lowest_bit)
+        if comps:
+            children[v] = tuple(rebuild(comp) for comp in comps)
         return v
 
-    root = rebuild(full)
+    try:
+        value = solve(full)
+        root = rebuild(full)
+    except RecursionError:
+        raise StateLimitExceeded(
+            f"exact solve of {m} vertices exhausted the interpreter's recursion depth"
+        ) from None
     return Fraction(value, denom), DecisionTree(root, children)

@@ -183,6 +183,22 @@ class TestAuxiliaryTree:
                 assert len(aux.vertices) <= 4 * k - 3
 
 
+class TestContractionAgainstPairs:
+    def test_edges_match_pairwise_definition(self):
+        rng = random.Random(97)
+        for _ in range(80):
+            n = rng.randint(2, 40)
+            inst = oracles.random_attachment_tree(n, rng)
+            inst = tree_instance(n, inst.edges, oracles.random_costs(n, rng))
+            norm, _ = normalize(inst)
+            for t in (0.25, 0.5, 0.75):
+                if not any(norm.cost(v) > t for v in norm.vertex_set):
+                    continue
+                seps = separator_sets(norm, norm.vertex_set, t)
+                aux = auxiliary_tree(norm, seps.separators)
+                assert aux.edges == oracles.contracted_edges(norm, seps.separators)
+
+
 class TestAttachSubtree:
     def test_leaf_under_center(self):
         inst = tree_instance(4, [(1, 2), (1, 3), (1, 4)], [1] * 4)

@@ -5,12 +5,15 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from treesearch import (
     BenchConfig,
     report_to_csv,
     report_to_json,
     run_bench,
 )
+from treesearch.errors import InvalidParameters
 
 
 class TestRunBench:
@@ -90,3 +93,15 @@ class TestReports:
         assert rows[0][:4] == ["seed", "n", "shape", "cost_model"]
         assert len([r for r in rows if r and r[0].isdigit()]) == 3
         assert ["bound_violations", "0"] in rows
+
+
+class TestBenchConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"count": 1, "n_range": (9, 3)},
+        {"count": 1, "n_range": (0, 5)},
+        {"count": -1},
+        {"count": 1, "state_limit": 0},
+    ])
+    def test_rejected_on_construction(self, kwargs):
+        with pytest.raises(InvalidParameters):
+            BenchConfig(**kwargs)

@@ -1,12 +1,24 @@
 """End-to-end CLI: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treesearch
 from treesearch import parse_instance
 from treesearch.cli import main
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter, so uncaught errors show as tracebacks."""
+    env = dict(os.environ, PYTHONPATH=str(Path(treesearch.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "treesearch", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture
@@ -109,3 +121,29 @@ class TestExitCodes:
     def test_bad_generator_params_is_1(self, capsys):
         assert main(["gen", "--shape", "path", "--cost-model", "planted-k",
                      "--n", "4", "--k", "3"]) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "exact", "bench"])
+    def test_zero_state_limit_is_1(self, command, inst_file):
+        if command == "bench":
+            argv = ["bench", "--count", "1"]
+        else:
+            argv = [command, "--input", str(inst_file)]
+        proc = run_process(argv + ["--state-limit", "0"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "max_states" in proc.stderr
+
+    def test_bench_empty_size_range_is_1(self):
+        proc = run_process(["bench", "--count", "1", "--n-min", "9", "--n-max", "3"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "n_range" in proc.stderr
+
+    def test_deep_exact_path_is_2(self, tmp_path):
+        path = tmp_path / "path.json"
+        assert main(["gen", "--shape", "path", "--cost-model", "uniform",
+                     "--n", "1200", "--output", str(path)]) == 0
+        proc = run_process(["exact", "--input", str(path)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "recursion depth" in proc.stderr

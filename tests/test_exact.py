@@ -15,7 +15,7 @@ from treesearch import (
     tree_instance,
     validate_decision_tree,
 )
-from treesearch.errors import NotConnected, StateLimitExceeded
+from treesearch.errors import InvalidParameters, NotConnected, StateLimitExceeded
 
 import oracles
 from strategies import tree_instances
@@ -103,3 +103,41 @@ class TestOptExact:
     def test_no_strategy_beats_it(self, fix1, dfix2):
         opt, _ = opt_exact(fix1)
         assert opt <= evaluate_cost(fix1, dfix2)
+
+    def test_state_budget_below_one_rejected(self):
+        with pytest.raises(InvalidParameters):
+            SolveLimits(max_states=0)
+
+    def test_deep_recursion_is_state_limit(self):
+        n = 1500
+        path = tree_instance(n, [(i, i + 1) for i in range(1, n)], [1] * n)
+        with pytest.raises(StateLimitExceeded, match="recursion depth"):
+            opt_exact(path)
+
+
+def _outcome(solver, inst, limits):
+    try:
+        value, witness = solver(inst, limits=limits)
+    except StateLimitExceeded:
+        return "state-limit"
+    return value, witness.root, witness.children
+
+
+class TestAgainstSearchSolver:
+    """The edge-side solver memoises the same sets as the search-based one."""
+
+    @given(tree_instances(max_n=12))
+    @settings(max_examples=60, deadline=None)
+    def test_same_value_witness_and_limit(self, inst):
+        for max_states in (8, 64, 512, None):
+            limits = SolveLimits(max_states) if max_states else None
+            assert _outcome(opt_exact, inst, limits) == _outcome(
+                oracles.reference_opt_exact, inst, limits
+            )
+
+    @given(tree_instances(min_n=2, max_n=12))
+    @settings(max_examples=30, deadline=None)
+    def test_same_result_within_subset(self, inst):
+        rng = random.Random(inst.n)
+        sub = oracles.random_connected_subset(inst, rng.randint(1, inst.n), rng)
+        assert opt_exact(inst, within=sub) == oracles.reference_opt_exact(inst, within=sub)
