@@ -29,6 +29,7 @@ against them is exact, because floats are dyadic rationals.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -36,17 +37,23 @@ from fractions import Fraction
 from .core import (
     DecisionTree,
     TreeInstance,
+    induced_components,
     normalize,
+    rooted_order,
     split_components,
     tree_instance,
     validate_decision_tree,
 )
 from .errors import (
     BranchOccupied,
+    DuplicateVertex,
     InvalidSize,
     NoHeavyVertex,
     NoNeighborQueried,
     NotAPath,
+    NotConnected,
+    QueryOutsideCandidate,
+    TreeSearchError,
 )
 from .exact import SolveLimits, opt_exact
 from .modularity import heavy_modules, k_up_modularity
@@ -87,14 +94,13 @@ class AuxiliaryTree:
     ``vertices`` and ``edges`` use original ids; two separator vertices
     are adjacent exactly when no other separator vertex lies on the path
     between them.  ``instance`` is the same tree relabelled to contiguous
-    ids ``1..m`` (costs carried over) and ``back_map[i]`` is the original
+    ids ``1..m`` (costs carried over), so ``vertices[i]`` is the original
     id of relabelled vertex ``i + 1``.
     """
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     instance: TreeInstance
-    back_map: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -155,34 +161,14 @@ def cost_levels(n: int) -> CostLevelSchedule:
     return CostLevelSchedule(tuple(levels))
 
 
-def _induced_components(inst: TreeInstance, verts) -> list[frozenset[int]]:
-    """Connected components of an induced vertex set, smallest vertex first."""
-    pool = set(verts)
-    comps = []
-    for start in sorted(verts):
-        if start not in pool:
-            continue
-        comp = {start}
-        pool.discard(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in inst.adjacency[x]:
-                if y in pool:
-                    pool.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
     """Build the nested separator sets for one region and threshold.
 
     Module representatives are the maximum-cost vertex of each module
     (ties to the smallest id); corridor picks take the cheapest interior
     vertex (ties to the smallest id).  Requires at least one vertex of the
-    region to cost more than the threshold.
+    region to cost more than the threshold; raises :class:`NotConnected`
+    when the region is not connected.
     """
     region = frozenset(region)
     decomposition = heavy_modules(inst, threshold, within=region)
@@ -195,44 +181,29 @@ def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
     # Spanning subtree of the representatives, rooted at one of them: a
     # vertex belongs iff its rooted subtree contains a representative.
     root = min(reps)
-    vset = region
-    parent = {root: 0}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in inst.adjacency[x]:
-            if y in vset and y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
+    order, parent = rooted_order(inst, region, root)
     count = {v: 1 if v in reps else 0 for v in order}
     for v in reversed(order[1:]):
         count[parent[v]] += count[v]
-    span = {v for v in order if count[v] >= 1}
-    span_adj = {v: [u for u in inst.adjacency[v] if u in span] for v in span}
+    span = [v for v in order if count[v]]
 
-    anchors = set(reps) | {v for v in span if len(span_adj[v]) >= 3}
+    # A branch vertex has two or more children in the span (the root is a
+    # representative anyway), so every corridor between consecutive
+    # anchors runs straight up from its lower anchor.
+    children = Counter(parent[v] for v in span[1:])
+    anchors = reps | {v for v, c in children.items() if c >= 2}
 
     separators = set(anchors)
-    walked: set[tuple[int, int]] = set()
-    for y in sorted(anchors):
-        for nb in span_adj[y]:
-            if (y, nb) in walked:
-                continue
-            walked.add((y, nb))
-            prev, cur = y, nb
-            interior = []
-            while cur not in anchors:
-                interior.append(cur)
-                nxt = [u for u in span_adj[cur] if u != prev]
-                assert len(nxt) == 1, "non-anchor spine vertex must have degree 2"
-                prev, cur = cur, nxt[0]
-            walked.add((cur, prev))
-            if interior:
-                separators.add(min(interior, key=lambda v: (inst.cost(v), v)))
+    for y in anchors - {root}:
+        interior = []
+        x = parent[y]
+        while x not in anchors:
+            interior.append(x)
+            x = parent[x]
+        if interior:
+            separators.add(min(interior, key=lambda v: (inst.cost(v), v)))
 
-    return SeparatorSets(reps, frozenset(anchors), frozenset(separators))
+    return SeparatorSets(reps, anchors, frozenset(separators))
 
 
 def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
@@ -247,11 +218,12 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
     pairs with ``u < v``.
     """
     zs = sorted(separators)
-    assert zs, "separator set must be non-empty"
+    if not zs:
+        raise InvalidSize("separator set must be non-empty")
     if len(zs) == 1:
         v = zs[0]
         instance = tree_instance(1, (), (inst.cost(v),))
-        return AuxiliaryTree((v,), (), instance, (v,))
+        return AuxiliaryTree((v,), (), instance)
 
     zset = frozenset(zs)
     nearest = {zs[0]: zs[0]}  # closest separator at or above each visited vertex
@@ -276,7 +248,7 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
         [(index[u], index[v]) for u, v in edges],
         [inst.cost(v) for v in zs],
     )
-    return AuxiliaryTree(tuple(zs), tuple(edges), instance, tuple(zs))
+    return AuxiliaryTree(tuple(zs), tuple(edges), instance)
 
 
 def attach_subtree(
@@ -287,12 +259,19 @@ def attach_subtree(
     All queried neighbours of the region must lie on a single root-to-leaf
     path of ``d`` (a structural guarantee of the construction, verified
     here rather than assumed); the subtree is attached under the deepest
-    of them, on the response branch holding the region.
+    of them, on the response branch holding the region.  A strategy that
+    leaves the region raises :class:`QueryOutsideCandidate`, a region
+    holding queried vertices :class:`DuplicateVertex`, and a region not
+    inside one response branch :class:`NotConnected`.
     """
     region = frozenset(region)
-    assert sub_dt.vertex_set <= region, "grafted strategy must stay inside its region"
+    outside = sub_dt.vertex_set - region
+    if outside:
+        raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
     queried = d.vertex_set
-    assert not (region & queried), "region must not contain queried vertices"
+    overlap = region & queried
+    if overlap:
+        raise DuplicateVertex(f"region holds queried vertices {sorted(overlap)}")
 
     nbrs = set()
     for w in region:
@@ -328,7 +307,8 @@ def attach_subtree(
         if region <= comp:
             branch = comp
             break
-    assert branch is not None, "region must sit inside one response component"
+    if branch is None:
+        raise NotConnected(f"region is not inside one response branch of {deepest}")
     for child in d.child_list(deepest):
         if child in branch:
             raise BranchOccupied(
@@ -371,13 +351,13 @@ def create_decision_tree(
         seps = separator_sets(norm, region, a)
         aux = auxiliary_tree(norm, seps.separators)
         _cost_z, aux_dt = opt_exact(aux.instance, limits=limits)
-        back = aux.back_map
+        back = aux.vertices
         d = DecisionTree(
             back[aux_dt.root - 1],
             {back[q - 1]: tuple(back[c - 1] for c in kids) for q, kids in aux_dt.children.items()},
         )
 
-        comps = _induced_components(norm, region - seps.separators)
+        comps = induced_components(norm, region - seps.separators)
         comp_modules = [heavy_modules(norm, a, within=comp).modules for comp in comps]
         k_region, _witness = k_up_modularity(norm, within=region)
         records.append(
@@ -396,11 +376,12 @@ def create_decision_tree(
 
         depth = 0
         for comp, modules in zip(comps, comp_modules):
-            assert len(modules) <= 1, "separator left a component with two heavy modules"
+            if len(modules) > 1:
+                raise TreeSearchError(f"separator left {len(modules)} heavy modules together")
             if modules:
                 module = modules[0]
                 d = attach_subtree(d, norm, comp, ranking_based_dt(norm, within=module))
-                light_parts = _induced_components(norm, comp - module)
+                light_parts = induced_components(norm, comp - module)
             else:
                 light_parts = [comp]
             for part in light_parts:

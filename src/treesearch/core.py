@@ -8,6 +8,13 @@ vertex set whose branches mirror those components.  Locating a target
 costs the sum of the query costs along the root-to-target path; a
 strategy is scored by its worst-case target.
 
+Every module traverses the tree through two helpers here (only the
+early-stopping contraction in ``approx`` keeps its own walk):
+:func:`induced_components` finds the connected pieces of a vertex set
+(response components, heavy modules, leftover regions) and
+:func:`rooted_order` roots a connected set (separator spans, rankings,
+the exact solver's edge sides).
+
 All cost arithmetic is exact (`fractions.Fraction`).  Every value here is
 immutable after construction and every operation is a pure function, so
 everything is safe to share across threads.
@@ -26,6 +33,7 @@ from .errors import (
     MissingVertex,
     NonPositiveCost,
     NotATree,
+    NotConnected,
     QueryOutsideCandidate,
     UnknownVertex,
     VertexNotInCandidate,
@@ -201,6 +209,54 @@ def normalize(inst: TreeInstance) -> tuple[TreeInstance, Fraction]:
     return TreeInstance(inst.n, inst.edges, scaled), scale
 
 
+def induced_components(inst: TreeInstance, verts) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced by ``verts``.
+
+    Components are returned in increasing order of their smallest vertex;
+    together they partition ``verts``.
+    """
+    adjacency = inst.adjacency
+    unvisited = set(verts)
+    comps = []
+    for start in sorted(unvisited):
+        if start not in unvisited:
+            continue
+        unvisited.discard(start)
+        comp = [start]
+        for x in comp:
+            for y in adjacency[x]:
+                if y in unvisited:
+                    unvisited.discard(y)
+                    comp.append(y)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def rooted_order(inst: TreeInstance, verts, root: int) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first order and parent map of the subtree induced by ``verts``.
+
+    ``order`` starts at ``root`` and lists every vertex after its parent;
+    ``parent[root]`` is 0, which is no vertex.  Raises
+    :class:`NotConnected` unless ``verts`` induces a connected subtree
+    containing ``root``.
+    """
+    vset = frozenset(verts)
+    if root not in vset:
+        raise NotConnected(f"root {root} is not in the vertex set")
+    adjacency = inst.adjacency
+    parent = {root: 0}
+    order = [root]
+    for x in order:
+        up = parent[x]
+        for y in adjacency[x]:
+            if y != up and y in vset:
+                parent[y] = x
+                order.append(y)
+    if len(order) != len(vset):
+        raise NotConnected(f"vertex set of size {len(vset)} is not connected")
+    return order, parent
+
+
 def split_components(inst: TreeInstance, candidate, v: int) -> list[frozenset[int]]:
     """Connected components of the candidate set with ``v`` removed.
 
@@ -211,25 +267,7 @@ def split_components(inst: TreeInstance, candidate, v: int) -> list[frozenset[in
     cand = frozenset(candidate)
     if v not in cand:
         raise VertexNotInCandidate(f"vertex {v} is not in the candidate set")
-    adjacency = inst.adjacency
-    unvisited = set(cand)
-    unvisited.discard(v)
-    comps = []
-    for start in sorted(cand):
-        if start not in unvisited:
-            continue
-        comp = {start}
-        unvisited.discard(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if y in unvisited:
-                    unvisited.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
+    return induced_components(inst, cand - {v})
 
 
 def _appearance_check(d: DecisionTree, universe: frozenset[int]) -> None:

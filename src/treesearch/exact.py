@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DecisionTree, TreeInstance
+from .core import DecisionTree, TreeInstance, rooted_order
 from .errors import InvalidParameters, NotConnected, StateLimitExceeded
 
 
@@ -65,25 +65,16 @@ def opt_exact(
         raise NotConnected("empty vertex set")
     pos = {v: i for i, v in enumerate(verts)}
 
-    # Root the restricted tree at index 0.  side[i] lists, for each
-    # neighbour j of i, the bitmask of the vertices on j's side of edge
-    # (i, j); the components of a connected mask minus i are then the
+    # Root the restricted tree at its smallest vertex.  side[i] lists, for
+    # each neighbour j of i, the bitmask of the vertices on j's side of
+    # edge (i, j); the components of a connected mask minus i are then the
     # non-empty ``mask & s`` over ``s in side[i]``.
-    parent = [-1] * m
-    order = [0]
-    for x in order:
-        for u in inst.adjacency[verts[x]]:
-            j = pos.get(u)
-            if j is not None and j != parent[x]:
-                parent[j] = x
-                order.append(j)
-    if len(order) < m:
-        raise NotConnected(f"vertex set of size {m} is not connected")
+    order, parent = rooted_order(inst, verts, verts[0])
     full = (1 << m) - 1
     below = [1 << i for i in range(m)]
     side: list[list[int]] = [[] for _ in range(m)]
-    for x in reversed(order[1:]):
-        p = parent[x]
+    for v in reversed(order[1:]):
+        x, p = pos[v], pos[parent[v]]
         below[p] |= below[x]
         side[p].append(below[x])
         side[x].append(full ^ below[x])

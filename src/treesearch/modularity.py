@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import TreeInstance
+from .core import TreeInstance, induced_components, rooted_order
 
 
 @dataclass(frozen=True)
@@ -37,26 +37,9 @@ def heavy_modules(inst: TreeInstance, threshold, within=None) -> HeavyModuleDeco
     ``within`` restricts the computation to an induced vertex subset.
     Modules are listed in increasing order of their smallest vertex.
     """
-    verts = sorted(within) if within is not None else range(1, inst.n + 1)
-    heavy = {v for v in verts if inst.cost(v) > threshold}
-    adjacency = inst.adjacency
-    unvisited = set(heavy)
-    modules = []
-    for start in sorted(heavy):
-        if start not in unvisited:
-            continue
-        comp = {start}
-        unvisited.discard(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if y in unvisited:
-                    unvisited.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        modules.append(frozenset(comp))
-    return HeavyModuleDecomposition(threshold, tuple(modules))
+    verts = within if within is not None else range(1, inst.n + 1)
+    heavy = [v for v in verts if inst.cost(v) > threshold]
+    return HeavyModuleDecomposition(threshold, tuple(induced_components(inst, heavy)))
 
 
 def k_up_modularity(inst: TreeInstance, within=None) -> tuple[int, Fraction]:
@@ -80,27 +63,11 @@ def k_up_modularity(inst: TreeInstance, within=None) -> tuple[int, Fraction]:
 def is_up_monotonic(inst: TreeInstance) -> bool:
     """Whether costs never increase along paths leading away from a maximum.
 
-    When several vertices share the maximum cost, the property is checked
-    from each of them; any single valid starting point suffices.  Agrees
-    with ``k_up_modularity(inst)[0] == 1``.
+    Checking from one maximum-cost vertex suffices: if costs never
+    increase away from it, every path between two maxima stays at the
+    maximum cost, so they never increase away from any other maximum
+    either.  Agrees with ``k_up_modularity(inst)[0] == 1``.
     """
-    top = inst.max_cost
-    maxima = [v for v in range(1, inst.n + 1) if inst.cost(v) == top]
-    adjacency = inst.adjacency
-    for z in maxima:
-        ok = True
-        seen = {z}
-        stack = [z]
-        while stack and ok:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if y in seen:
-                    continue
-                if inst.cost(x) < inst.cost(y):
-                    ok = False
-                    break
-                seen.add(y)
-                stack.append(y)
-        if ok:
-            return True
-    return False
+    top = inst.costs.index(inst.max_cost) + 1
+    order, parent = rooted_order(inst, inst.vertex_set, top)
+    return all(inst.cost(parent[v]) >= inst.cost(v) for v in order[1:])

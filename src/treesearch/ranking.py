@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import DecisionTree, TreeInstance, split_components
-from .errors import NotConnected
+from .core import DecisionTree, TreeInstance, rooted_order, split_components
+from .errors import InvalidDecisionTree, NotConnected
 
 
 @dataclass(frozen=True)
@@ -32,35 +32,16 @@ class Ranking:
     max_label: int
 
 
-def _connected_order(inst: TreeInstance, verts: list[int]) -> tuple[list[int], dict[int, int]]:
-    """Preorder and parent map of the induced subtree rooted at min(verts)."""
-    vset = set(verts)
-    root = verts[0]
-    parent = {root: 0}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in inst.adjacency[x]:
-            if y in vset and y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
-    if len(order) != len(verts):
-        raise NotConnected(f"vertex set of size {len(verts)} induces a disconnected forest")
-    return order, parent
-
-
 def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
     """Compute a minimum vertex ranking of a connected vertex set.
 
     Deterministic for fixed input; the maximum label never exceeds
     ``floor(log2 m) + 1`` where ``m`` is the size of the set.
     """
-    verts = sorted(within) if within is not None else sorted(inst.vertex_set)
+    verts = frozenset(within) if within is not None else inst.vertex_set
     if not verts:
         raise NotConnected("empty vertex set")
-    order, parent = _connected_order(inst, verts)
+    order, parent = rooted_order(inst, verts, min(verts))
 
     children: dict[int, list[int]] = {v: [] for v in verts}
     for v in order[1:]:
@@ -86,7 +67,7 @@ def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
 def is_valid_ranking(inst: TreeInstance, labels: Mapping[int, int], within=None) -> bool:
     """Direct check of the ranking property on every equal-label pair."""
     verts = sorted(within) if within is not None else sorted(inst.vertex_set)
-    order, parent = _connected_order(inst, verts)
+    order, parent = rooted_order(inst, verts, verts[0])
     depth = {order[0]: 0}
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
@@ -131,7 +112,8 @@ def ranking_based_dt(inst: TreeInstance, within=None) -> DecisionTree:
     def build(piece: frozenset[int]) -> int:
         top_label = max(labels[v] for v in piece)
         tops = [v for v in piece if labels[v] == top_label]
-        assert len(tops) == 1, f"top label {top_label} duplicated in a connected piece"
+        if len(tops) != 1:
+            raise InvalidDecisionTree(f"top label {top_label} is held by {len(tops)} vertices")
         top = tops[0]
         kids = tuple(build(comp) for comp in split_components(inst, piece, top))
         if kids:

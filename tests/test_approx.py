@@ -1,13 +1,18 @@
 """Level schedule, separators, auxiliary trees, grafting, full construction."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treesearch
 from treesearch import (
     DecisionTree,
     attach_subtree,
@@ -25,12 +30,17 @@ from treesearch import (
     tree_instance,
     validate_decision_tree,
 )
+from treesearch.approx import SeparatorSets
 from treesearch.errors import (
     BranchOccupied,
+    DuplicateVertex,
     InvalidSize,
     NoHeavyVertex,
     NoNeighborQueried,
     NotAPath,
+    NotConnected,
+    QueryOutsideCandidate,
+    TreeSearchError,
 )
 
 import oracles
@@ -38,6 +48,10 @@ import oracles
 # Largest binary64 below 1/log2(11); regression-pinned, independently
 # verified against mpmath in test_frozen_dyadic_for_11.
 B0_N11 = float.fromhex("0x1.28009c1dd6453p-2")
+
+
+def path5(costs=(1,) * 5):
+    return tree_instance(5, [(1, 2), (2, 3), (3, 4), (4, 5)], costs)
 
 
 def spider_fixture():
@@ -114,6 +128,11 @@ class TestSeparatorSets:
         with pytest.raises(NoHeavyVertex):
             separator_sets(fix1, fix1.vertex_set, 2)
 
+    def test_disconnected_region(self):
+        inst = path5([1, "1/4", 1, "1/4", 1])
+        with pytest.raises(NotConnected):
+            separator_sets(inst, {1, 2, 4, 5}, 0.5)
+
     def test_representative_is_max_cost_smallest_id(self):
         inst = tree_instance(4, [(1, 2), (2, 3), (3, 4)], ["3/4", 1, 1, "1/4"])
         seps = separator_sets(inst, inst.vertex_set, Fraction(1, 2))
@@ -147,8 +166,11 @@ class TestAuxiliaryTree:
         aux = auxiliary_tree(inst, {1, 3, 5})
         assert aux.vertices == (1, 3, 5)
         assert aux.edges == ((1, 3), (3, 5))
-        assert aux.back_map == (1, 3, 5)
         assert aux.instance.edges == ((1, 2), (2, 3))
+
+    def test_empty_separator_set(self, fix1):
+        with pytest.raises(InvalidSize):
+            auxiliary_tree(fix1, set())
 
     def test_singleton(self, fix1):
         aux = auxiliary_tree(fix1, {7})
@@ -164,7 +186,7 @@ class TestAuxiliaryTree:
         assert set(aux.edges) == {(1, 2), (2, 4), (1, 6), (6, 7), (1, 9), (9, 10)}
         assert aux.instance.n == 7
         # costs carried over through the relabelling
-        for new_id, old_id in enumerate(aux.back_map, start=1):
+        for new_id, old_id in enumerate(aux.vertices, start=1):
             assert aux.instance.cost(new_id) == inst.cost(old_id)
 
     def test_size_bound_against_modularity(self):
@@ -235,8 +257,43 @@ class TestAttachSubtree:
         with pytest.raises(NotAPath):
             attach_subtree(d, inst, {1}, DecisionTree(1, {}))
 
+    def test_strategy_outside_region(self):
+        with pytest.raises(QueryOutsideCandidate):
+            attach_subtree(DecisionTree(3, {}), path5(), {4, 5}, DecisionTree(1, {}))
+
+    def test_region_holds_queried_vertex(self):
+        with pytest.raises(DuplicateVertex):
+            attach_subtree(DecisionTree(3, {}), path5(), {3, 4}, DecisionTree(4, {}))
+
+    def test_region_across_branches(self):
+        with pytest.raises(NotConnected):
+            attach_subtree(DecisionTree(3, {}), path5(), {2, 4}, DecisionTree(2, {2: (4,)}))
+
+    def test_checks_survive_optimized_mode(self):
+        script = (
+            "from treesearch import DecisionTree, attach_subtree, tree_instance\n"
+            "from treesearch.errors import TreeSearchError\n"
+            "path5 = tree_instance(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [1] * 5)\n"
+            "try:\n"
+            "    attach_subtree(DecisionTree(3, {}), path5, {4, 5}, DecisionTree(1, {}))\n"
+            "except TreeSearchError as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(treesearch.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "QueryOutsideCandidate"
+
 
 class TestCreateDecisionTree:
+    def test_separator_leaving_two_modules(self, monkeypatch):
+        lone = frozenset({1})
+        monkeypatch.setattr("treesearch.approx.separator_sets",
+                            lambda inst, region, threshold: SeparatorSets(lone, lone, lone))
+        with pytest.raises(TreeSearchError, match="heavy modules"):
+            create_decision_tree(path5([1, "1/4", 1, "1/4", 1]))
+
     def test_single_vertex(self):
         inst = tree_instance(1, [], ["2/3"])
         d, stats = create_decision_tree(inst)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesearch import (
     DecisionTree,
@@ -18,6 +19,7 @@ from treesearch import (
     validate_instance,
     TreeInstance,
 )
+from treesearch.core import induced_components, rooted_order
 from treesearch.errors import (
     ComponentMismatch,
     DuplicateVertex,
@@ -25,11 +27,13 @@ from treesearch.errors import (
     MissingVertex,
     NonPositiveCost,
     NotATree,
+    NotConnected,
     QueryOutsideCandidate,
     UnknownVertex,
     VertexNotInCandidate,
 )
 
+import oracles
 from strategies import tree_instances
 
 
@@ -135,6 +139,47 @@ class TestSplitComponents:
             assert not (union & comp)
             union |= comp
         assert union == inst.vertex_set - {v}
+
+
+class TestTraversalKernel:
+    def test_fixture_components_smallest_vertex_first(self, fix1):
+        assert induced_components(fix1, {11, 8, 3, 1, 9, 10}) == [
+            frozenset({1, 3}),
+            frozenset({8}),
+            frozenset({9, 10, 11}),
+        ]
+
+    def test_fixture_rooted_at_v4(self, fix1):
+        order, parent = rooted_order(fix1, {1, 2, 4, 5, 7, 8}, 4)
+        assert order == [4, 1, 7, 8, 2, 5]
+        assert parent == {4: 0, 1: 4, 7: 4, 8: 4, 2: 1, 5: 2}
+
+    def test_root_outside_set_rejected(self, fix1):
+        with pytest.raises(NotConnected):
+            rooted_order(fix1, {1, 2}, 3)
+        with pytest.raises(NotConnected):
+            rooted_order(fix1, set(), 1)
+
+    @given(tree_instances(max_n=24), st.data())
+    @settings(max_examples=200)
+    def test_against_oracle(self, inst, data):
+        verts = data.draw(st.sets(st.integers(1, inst.n)))
+        expected = oracles.induced_components(inst, verts)
+        assert induced_components(inst, verts) == expected
+        if not verts:
+            return
+        root = data.draw(st.sampled_from(sorted(verts)))
+        if len(expected) > 1:
+            with pytest.raises(NotConnected):
+                rooted_order(inst, verts, root)
+            return
+        order, parent = rooted_order(inst, verts, root)
+        assert order[0] == root and parent[root] == 0
+        assert sorted(order) == sorted(verts) == sorted(parent)
+        position = {v: i for i, v in enumerate(order)}
+        for v in order[1:]:
+            assert parent[v] in inst.adjacency[v]
+            assert position[parent[v]] < position[v]
 
 
 class TestValidateDecisionTree:

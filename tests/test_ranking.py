@@ -15,7 +15,8 @@ from treesearch import (
     validate_decision_tree,
     vertex_ranking,
 )
-from treesearch.errors import NotConnected
+from treesearch.errors import InvalidDecisionTree, NotConnected
+from treesearch.ranking import Ranking
 
 import oracles
 from strategies import tree_instances
@@ -126,6 +127,12 @@ class TestRankingBasedDT:
     def test_nonuniform_costs_still_valid(self, fix1):
         d = ranking_based_dt(fix1)
         validate_decision_tree(fix1, d)
+
+    def test_duplicated_top_label_rejected(self, monkeypatch):
+        bad = Ranking({1: 2, 2: 1, 3: 2}, 2)
+        monkeypatch.setattr("treesearch.ranking.vertex_ranking", lambda inst, within: bad)
+        with pytest.raises(InvalidDecisionTree):
+            ranking_based_dt(uniform_path(3))
 
     def test_subset_strategy_valid(self):
         rng = random.Random(9)
