@@ -22,8 +22,14 @@ The number of intervals is ``O(log log n)``, and each level of the
 recursion adds only a constant multiple of the optimum to the cost, which
 is what makes the final strategy competitive.
 
-Interval endpoints are binary64 floats; comparing an exact rational cost
-against them is exact, because floats are dyadic rationals.
+Interval endpoints are binary64 floats.  Costs are compared against them
+through integer cutoffs on the instance's integer weights
+(:meth:`TreeInstance.cutoff`), which is exact and never builds a
+``Fraction``.  Each level call grows one mutable strategy (child lists
+plus parent and depth maps) and grafts into it in time proportional to
+the grafted region, the grafted strategy and the strategy's depth: the
+response branch holding a region is found by interval tests on a
+preorder numbering of the instance, cached once per instance.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .core import (
     induced_components,
     normalize,
     rooted_order,
-    split_components,
     tree_instance,
     validate_decision_tree,
 )
@@ -174,8 +179,9 @@ def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
     decomposition = heavy_modules(inst, threshold, within=region)
     if not decomposition.modules:
         raise NoHeavyVertex(f"no vertex in the region costs more than {threshold}")
+    weights = inst.weights
     reps = frozenset(
-        max(module, key=lambda v: (inst.cost(v), -v)) for module in decomposition.modules
+        max(module, key=lambda v: (weights[v], -v)) for module in decomposition.modules
     )
 
     # Spanning subtree of the representatives, rooted at one of them: a
@@ -201,7 +207,7 @@ def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
             interior.append(x)
             x = parent[x]
         if interior:
-            separators.add(min(interior, key=lambda v: (inst.cost(v), v)))
+            separators.add(min(interior, key=lambda v: (weights[v], v)))
 
     return SeparatorSets(reps, anchors, frozenset(separators))
 
@@ -251,6 +257,102 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
     return AuxiliaryTree(tuple(zs), tuple(edges), instance)
 
 
+class _Strategy:
+    """A strategy under construction: child lists plus parent and depth maps.
+
+    ``parent[root]`` is 0, which is no vertex; ``depth[root]`` is 0.
+    """
+
+    __slots__ = ("root", "children", "parent", "depth")
+
+    def __init__(self, d: DecisionTree):
+        self.root = d.root
+        self.children: dict[int, list[int]] = {}
+        self.parent: dict[int, int] = {}
+        self.depth: dict[int, int] = {}
+        self._copy(d, 0)
+
+    def _copy(self, d: DecisionTree, above: int) -> None:
+        """Copy the strategy ``d`` in, its root below query ``above`` (0: none)."""
+        parent, depth, children = self.parent, self.depth, self.children
+        parent[d.root] = above
+        depth[d.root] = depth[above] + 1 if above else 0
+        queue = [d.root]
+        for q in queue:
+            kids = d.child_list(q)
+            if kids:
+                children[q] = list(kids)
+                below = depth[q] + 1
+                for child in kids:
+                    parent[child] = q
+                    depth[child] = below
+                queue.extend(kids)
+
+    def attach(self, q: int, d: DecisionTree) -> None:
+        """Add the strategy ``d`` as the last child of query ``q``."""
+        self.children.setdefault(q, []).append(d.root)
+        self._copy(d, q)
+
+    def tree(self) -> DecisionTree:
+        return DecisionTree(self.root, self.children)
+
+
+def _graft(strategy: _Strategy, inst: TreeInstance, region, sub_dt: DecisionTree) -> None:
+    """Attach ``sub_dt`` to ``strategy`` as :func:`attach_subtree` describes.
+
+    Costs O(|region| + |sub_dt| + depth of the strategy) plus the degrees
+    of the region's vertices; nothing is scanned per strategy vertex.
+    """
+    region = frozenset(region)
+    outside = sub_dt.vertex_set - region
+    if outside:
+        raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
+    depth = strategy.depth
+    overlap = [v for v in region if v in depth]
+    if overlap:
+        raise DuplicateVertex(f"region holds queried vertices {sorted(overlap)}")
+
+    touching = {}  # queried neighbour of the region -> a region vertex next to it
+    adjacency = inst.adjacency
+    for w in region:
+        for y in adjacency[w]:
+            if y in depth:
+                touching[y] = w
+    if not touching:
+        raise NoNeighborQueried(f"no neighbour of the region {sorted(region)} is queried yet")
+    hooks = sorted(touching)
+    deepest = max(hooks, key=depth.__getitem__)
+
+    chain = set()
+    v = deepest
+    while v:
+        chain.add(v)
+        v = strategy.parent[v]
+    stray = [q for q in hooks if q not in chain]
+    if stray:
+        raise NotAPath(
+            f"queried neighbours {stray} of the region are not ancestors of {deepest}"
+        )
+
+    # The branch of ``deepest`` through its region neighbour ``near`` is the
+    # subtree of ``near`` when ``near`` is a child of ``deepest`` in the tree
+    # rooted at vertex 1, and everything outside the subtree of ``deepest``
+    # when ``near`` is its parent.
+    parent, first, last = inst.preorder
+    near = touching[deepest]
+    if parent[near] == deepest:
+        lo, hi, inside = first[near], last[near], True
+    else:
+        lo, hi, inside = first[deepest], last[deepest], False
+    if any((lo <= first[w] <= hi) != inside for w in region):
+        raise NotConnected(f"region is not inside one response branch of {deepest}")
+    if any((lo <= first[c] <= hi) == inside for c in strategy.children.get(deepest, ())):
+        raise BranchOccupied(
+            f"query {deepest} already has a child on the branch holding the region"
+        )
+    strategy.attach(deepest, sub_dt)
+
+
 def attach_subtree(
     d: DecisionTree, inst: TreeInstance, region, sub_dt: DecisionTree
 ) -> DecisionTree:
@@ -264,62 +366,9 @@ def attach_subtree(
     holding queried vertices :class:`DuplicateVertex`, and a region not
     inside one response branch :class:`NotConnected`.
     """
-    region = frozenset(region)
-    outside = sub_dt.vertex_set - region
-    if outside:
-        raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
-    queried = d.vertex_set
-    overlap = region & queried
-    if overlap:
-        raise DuplicateVertex(f"region holds queried vertices {sorted(overlap)}")
-
-    nbrs = set()
-    for w in region:
-        nbrs.update(inst.adjacency[w])
-    nbrs -= region
-    hooks = sorted(nbrs & queried)
-    if not hooks:
-        raise NoNeighborQueried(f"no neighbour of the region {sorted(region)} is queried yet")
-
-    depth = {d.root: 0}
-    stack = [d.root]
-    while stack:
-        v = stack.pop()
-        for child in d.child_list(v):
-            depth[child] = depth[v] + 1
-            stack.append(child)
-    deepest = max(hooks, key=lambda v: depth[v])
-
-    chain = {deepest}
-    parents = d.parent_map
-    v = deepest
-    while v != d.root:
-        v = parents[v]
-        chain.add(v)
-    stray = [q for q in hooks if q not in chain]
-    if stray:
-        raise NotAPath(
-            f"queried neighbours {stray} of the region are not ancestors of {deepest}"
-        )
-
-    branch = None
-    for comp in split_components(inst, inst.vertex_set, deepest):
-        if region <= comp:
-            branch = comp
-            break
-    if branch is None:
-        raise NotConnected(f"region is not inside one response branch of {deepest}")
-    for child in d.child_list(deepest):
-        if child in branch:
-            raise BranchOccupied(
-                f"query {deepest} already has a child on the branch holding the region"
-            )
-
-    merged = dict(d.children)
-    merged[deepest] = d.child_list(deepest) + (sub_dt.root,)
-    for q, kids in sub_dt.children.items():
-        merged[q] = kids
-    return DecisionTree(d.root, merged)
+    strategy = _Strategy(d)
+    _graft(strategy, inst, region, sub_dt)
+    return strategy.tree()
 
 
 def create_decision_tree(
@@ -340,10 +389,13 @@ def create_decision_tree(
     schedule = cost_levels(n)
     records: list[LevelRecord] = []
 
+    weights = norm.weights
+
     def recurse(region: frozenset[int], level: int) -> tuple[DecisionTree, int]:
         a, _b = schedule.levels[level]
-        heavy = {v for v in region if norm.cost(v) > a}
-        if level == 0 or len(heavy) == len(region):
+        cut = norm.cutoff(a)
+        heavy = sum(1 for v in region if weights[v] > cut)
+        if level == 0 or heavy == len(region):
             return ranking_based_dt(norm, within=region), 0
         if not heavy:
             return recurse(region, level - 1)
@@ -352,9 +404,11 @@ def create_decision_tree(
         aux = auxiliary_tree(norm, seps.separators)
         _cost_z, aux_dt = opt_exact(aux.instance, limits=limits)
         back = aux.vertices
-        d = DecisionTree(
-            back[aux_dt.root - 1],
-            {back[q - 1]: tuple(back[c - 1] for c in kids) for q, kids in aux_dt.children.items()},
+        strategy = _Strategy(
+            DecisionTree(
+                back[aux_dt.root - 1],
+                {back[q - 1]: [back[c - 1] for c in kids] for q, kids in aux_dt.children.items()},
+            )
         )
 
         comps = induced_components(norm, region - seps.separators)
@@ -380,15 +434,15 @@ def create_decision_tree(
                 raise TreeSearchError(f"separator left {len(modules)} heavy modules together")
             if modules:
                 module = modules[0]
-                d = attach_subtree(d, norm, comp, ranking_based_dt(norm, within=module))
+                _graft(strategy, norm, comp, ranking_based_dt(norm, within=module))
                 light_parts = induced_components(norm, comp - module)
             else:
                 light_parts = [comp]
             for part in light_parts:
                 part_dt, part_depth = recurse(part, level - 1)
-                d = attach_subtree(d, norm, part, part_dt)
+                _graft(strategy, norm, part, part_dt)
                 depth = max(depth, part_depth)
-        return d, depth + 1
+        return strategy.tree(), depth + 1
 
     dtree, depth_d = recurse(norm.vertex_set, schedule.count - 1)
     validate_decision_tree(norm, dtree)

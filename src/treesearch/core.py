@@ -15,13 +15,18 @@ early-stopping contraction in ``approx`` keeps its own walk):
 :func:`rooted_order` roots a connected set (separator spans, rankings,
 the exact solver's edge sides).
 
-All cost arithmetic is exact (`fractions.Fraction`).  Every value here is
-immutable after construction and every operation is a pure function, so
-everything is safe to share across threads.
+All cost arithmetic is exact.  Costs are `fractions.Fraction` at the API
+boundary; inside, each instance carries them once as integers over their
+common denominator (:attr:`TreeInstance.weights`), and a threshold is
+turned into one integer :meth:`TreeInstance.cutoff`, so inner loops
+compare machine integers.  Every value here is immutable after
+construction and every operation is a pure function, so everything is
+safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -74,6 +79,54 @@ class TreeInstance:
     @cached_property
     def max_cost(self) -> Fraction:
         return max(self.costs)
+
+    @cached_property
+    def denominator(self) -> int:
+        """Least common denominator of the costs."""
+        return math.lcm(*(c.denominator for c in self.costs))
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Costs times :attr:`denominator`, indexed by vertex id (index 0 is 0)."""
+        denom = self.denominator
+        return (0,) + tuple(c.numerator * (denom // c.denominator) for c in self.costs)
+
+    def cutoff(self, threshold) -> int:
+        """The integer ``c`` with ``cost(v) > threshold`` exactly when ``weights[v] > c``.
+
+        Exact for ``Fraction``, ``int`` and binary64 ``float`` thresholds:
+        with ``threshold == p / q`` and ``q > 0``, ``cost(v) > p / q`` holds
+        iff ``weights[v] * q > p * denominator``, i.e. iff ``weights[v]``
+        exceeds the floor of ``p * denominator / q``.
+        """
+        if isinstance(threshold, float) and not math.isfinite(threshold):
+            return -1 if threshold < 0 else max(self.weights)  # nothing exceeds nan
+        p, q = threshold.as_integer_ratio()
+        return (p * self.denominator) // q
+
+    @cached_property
+    def preorder(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``(parent, first, last)`` of the tree rooted at vertex 1, by vertex id.
+
+        ``first[v]`` is the preorder index of ``v`` and ``last[v]`` the
+        largest one in its subtree, so ``u`` lies in the subtree of ``v``
+        exactly when ``first[v] <= first[u] <= last[v]``; ``parent[1]`` is 0.
+        """
+        order, parent_of = rooted_order(self, self.vertex_set, 1)
+        size = [1] * (self.n + 1)
+        for v in reversed(order[1:]):
+            size[parent_of[v]] += size[v]
+        parent = [0] * (self.n + 1)
+        first = [0] * (self.n + 1)
+        free = [1] * (self.n + 1)  # next unused preorder index below each vertex
+        for v in order[1:]:
+            p = parent_of[v]
+            parent[v] = p
+            first[v] = free[p]
+            free[p] += size[v]
+            free[v] = first[v] + 1
+        last = [first[v] + size[v] - 1 for v in range(self.n + 1)]
+        return tuple(parent), tuple(first), tuple(last)
 
 
 @dataclass(frozen=True)

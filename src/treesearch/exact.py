@@ -3,19 +3,18 @@
 The recursion follows the query semantics directly: the best strategy for
 a connected candidate set picks the query minimising its own cost plus
 the worst component left behind.  Candidate sets are memoised as
-bitmasks, and costs are rescaled to integers over a common denominator so
-the inner loop stays in machine arithmetic.  The tree is rooted once up
-front to record, for every edge ``(i, j)``, the bitmask of the vertices
-on ``j``'s side; removing ``i`` from a connected set then splits it into
-one component per neighbour in O(deg i) mask operations, with no search.
-Connected-subtree counts grow exponentially on branchy trees, so every
-solve carries an explicit state budget and fails fast once it is
-exhausted.
+bitmasks, and costs are the instance's integer weights (costs over their
+common denominator), so the inner loop stays in machine arithmetic.  The
+tree is rooted once up front to record, for every edge ``(i, j)``, the
+bitmask of the vertices on ``j``'s side; removing ``i`` from a connected
+set then splits it into one component per neighbour in O(deg i) mask
+operations, with no search.  Connected-subtree counts grow exponentially
+on branchy trees, so every solve carries an explicit state budget and
+fails fast once it is exhausted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,8 +78,8 @@ def opt_exact(
         side[p].append(below[x])
         side[x].append(full ^ below[x])
 
-    denom = math.lcm(*(inst.cost(v).denominator for v in verts))
-    weight = [inst.cost(v).numerator * (denom // inst.cost(v).denominator) for v in verts]
+    weights = inst.weights
+    weight = [weights[v] for v in verts]
 
     memo: dict[int, int] = {}
     choice: dict[int, int] = {}
@@ -147,4 +146,4 @@ def opt_exact(
         raise StateLimitExceeded(
             f"exact solve of {m} vertices exhausted the interpreter's recursion depth"
         ) from None
-    return Fraction(value, denom), DecisionTree(root, children)
+    return Fraction(value, inst.denominator), DecisionTree(root, children)

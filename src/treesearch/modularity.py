@@ -6,9 +6,12 @@ number of such groups over all thresholds measures how far the cost
 function is from decreasing monotonically away from its maximum: a
 single group at every threshold is exactly the monotone case.
 
-Thresholds may be exact rationals or binary64 floats; both compare
-exactly against rational costs, since a float is itself a dyadic
-rational.
+Thresholds may be exact rationals, integers or binary64 floats; each is
+turned into one integer cutoff on the instance's integer weights
+(:meth:`TreeInstance.cutoff`), so the comparison is exact.  The modularity
+parameter comes from one union-find sweep over the vertices in
+decreasing cost order: after each group of equal costs is added, the
+number of components is the heavy-module count at the next lower cost.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import TreeInstance, induced_components, rooted_order
+from .errors import UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -31,14 +35,28 @@ class HeavyModuleDecomposition:
         return len(self.modules)
 
 
+def _members(inst: TreeInstance, within):
+    """The vertices of ``within`` (all vertices when ``None``), checked to be ids."""
+    if within is None:
+        return range(1, inst.n + 1)
+    verts = frozenset(within)
+    if verts and (min(verts) < 1 or max(verts) > inst.n):
+        unknown = sorted(v for v in verts if not 1 <= v <= inst.n)
+        raise UnknownVertex(f"vertices {unknown} are not in 1..{inst.n}")
+    return verts
+
+
 def heavy_modules(inst: TreeInstance, threshold, within=None) -> HeavyModuleDecomposition:
     """Connected components of ``{v : cost(v) > threshold}``.
 
     ``within`` restricts the computation to an induced vertex subset.
     Modules are listed in increasing order of their smallest vertex.
+    Raises :class:`UnknownVertex` for ids in ``within`` outside ``1..n``.
     """
-    verts = within if within is not None else range(1, inst.n + 1)
-    heavy = [v for v in verts if inst.cost(v) > threshold]
+    verts = _members(inst, within)
+    weights = inst.weights
+    cut = inst.cutoff(threshold)
+    heavy = [v for v in verts if weights[v] > cut]
     return HeavyModuleDecomposition(threshold, tuple(induced_components(inst, heavy)))
 
 
@@ -46,17 +64,45 @@ def k_up_modularity(inst: TreeInstance, within=None) -> tuple[int, Fraction]:
     """Maximum heavy-module count over all thresholds, with a witness.
 
     The count is piecewise constant in the threshold and only changes at
-    cost values, so scanning ``{0}`` plus the distinct costs covers every
-    piece.  Returns ``(k, t)`` where ``t`` is the smallest threshold
-    attaining the maximum.
+    cost values, so ``{0}`` plus the distinct costs cover every piece.
+    Adding the vertices in decreasing cost order to a union-find forest,
+    the number of trees after the last vertex of cost ``c`` is the count
+    at the next lower cost (or at 0), in O(m log m) for ``m`` vertices.
+    Returns ``(k, t)`` where ``t`` is the smallest threshold attaining the
+    maximum.  Raises :class:`UnknownVertex` for ids in ``within`` outside
+    ``1..n``.
     """
-    verts = sorted(within) if within is not None else range(1, inst.n + 1)
-    thresholds = [Fraction(0)] + sorted({inst.cost(v) for v in verts})
+    verts = _members(inst, within)
+    weights = inst.weights
+    adjacency = inst.adjacency
+    order = sorted(verts, key=weights.__getitem__, reverse=True)
+    forest: dict[int, int] = {}  # union-find parent of every vertex added so far
+
+    def find(x: int) -> int:
+        while forest[x] != x:
+            forest[x] = x = forest[forest[x]]
+        return x
+
     best_k, witness = 0, Fraction(0)
-    for t in thresholds:
-        k = heavy_modules(inst, t, within=within).count
-        if k > best_k:
-            best_k, witness = k, t
+    count = 0
+    i, m = 0, len(order)
+    while i < m:
+        weight = weights[order[i]]
+        while i < m and weights[order[i]] == weight:
+            v = order[i]
+            i += 1
+            forest[v] = v
+            count += 1
+            for u in adjacency[v]:
+                if u in forest:
+                    ru = find(u)
+                    if ru != v:
+                        forest[ru] = v
+                        count -= 1
+        # Ties go to the later, smaller threshold.
+        if count >= best_k:
+            best_k = count
+            witness = inst.cost(order[i]) if i < m else Fraction(0)
     return best_k, witness
 
 
@@ -70,4 +116,5 @@ def is_up_monotonic(inst: TreeInstance) -> bool:
     """
     top = inst.costs.index(inst.max_cost) + 1
     order, parent = rooted_order(inst, inst.vertex_set, top)
-    return all(inst.cost(parent[v]) >= inst.cost(v) for v in order[1:])
+    weights = inst.weights
+    return all(weights[parent[v]] >= weights[v] for v in order[1:])

@@ -67,6 +67,8 @@ def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
 def is_valid_ranking(inst: TreeInstance, labels: Mapping[int, int], within=None) -> bool:
     """Direct check of the ranking property on every equal-label pair."""
     verts = sorted(within) if within is not None else sorted(inst.vertex_set)
+    if not verts:
+        raise NotConnected("empty vertex set")
     order, parent = rooted_order(inst, verts, verts[0])
     depth = {order[0]: 0}
     for v in order[1:]:

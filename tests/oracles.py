@@ -2,10 +2,13 @@
 
 These deliberately avoid the package's solver machinery: strategies are
 enumerated or recursed over directly from the definitions, with no
-memoisation, bitmasks, or pruning.  The one exception is
-``reference_opt_exact``, the earlier bitmask solver that finds components
-by search; it is kept as the slow path whose values, witnesses and
-state-limit outcomes the edge-side solver must reproduce.
+memoisation, bitmasks, or pruning.  The exceptions are earlier versions
+of package functions, kept as slow paths that the fast ones must
+reproduce: ``reference_opt_exact`` (the bitmask solver that finds
+components by search), ``reference_k_up_modularity`` (one heavy-module
+scan per distinct cost, comparing rational costs directly) and
+``reference_attach_subtree`` (the graft that rebuilds whole-strategy
+maps and splits the whole tree on every call).
 """
 
 import itertools
@@ -14,7 +17,15 @@ from fractions import Fraction
 
 from treesearch import DecisionTree, SolveLimits, split_components, tree_instance
 from treesearch.core import TreeInstance
-from treesearch.errors import NotConnected, StateLimitExceeded
+from treesearch.errors import (
+    BranchOccupied,
+    DuplicateVertex,
+    NoNeighborQueried,
+    NotAPath,
+    NotConnected,
+    QueryOutsideCandidate,
+    StateLimitExceeded,
+)
 
 
 def enumerate_strategies(inst, cand=None):
@@ -273,3 +284,97 @@ def reference_opt_exact(
 
     root = rebuild(full)
     return Fraction(value, denom), DecisionTree(root, children)
+
+
+def reference_heavy_modules(inst, threshold, within=None):
+    """Heavy modules as sorted frozensets, comparing rational costs directly."""
+    verts = within if within is not None else range(1, inst.n + 1)
+    heavy = [v for v in verts if inst.cost(v) > threshold]
+    return tuple(induced_components(inst, heavy))
+
+
+def reference_k_up_modularity(inst, within=None):
+    """Maximum heavy-module count over all thresholds, with a witness.
+
+    The count is piecewise constant in the threshold and only changes at
+    cost values, so scanning ``{0}`` plus the distinct costs covers every
+    piece.  Returns ``(k, t)`` where ``t`` is the smallest threshold
+    attaining the maximum.
+    """
+    verts = sorted(within) if within is not None else range(1, inst.n + 1)
+    thresholds = [Fraction(0)] + sorted({inst.cost(v) for v in verts})
+    best_k, witness = 0, Fraction(0)
+    for t in thresholds:
+        k = len(reference_heavy_modules(inst, t, within=within))
+        if k > best_k:
+            best_k, witness = k, t
+    return best_k, witness
+
+
+def reference_attach_subtree(d, inst, region, sub_dt):
+    """Graft a strategy for an unqueried region below the right query.
+
+    All queried neighbours of the region must lie on a single root-to-leaf
+    path of ``d`` (a structural guarantee of the construction, verified
+    here rather than assumed); the subtree is attached under the deepest
+    of them, on the response branch holding the region.  A strategy that
+    leaves the region raises :class:`QueryOutsideCandidate`, a region
+    holding queried vertices :class:`DuplicateVertex`, and a region not
+    inside one response branch :class:`NotConnected`.
+    """
+    region = frozenset(region)
+    outside = sub_dt.vertex_set - region
+    if outside:
+        raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
+    queried = d.vertex_set
+    overlap = region & queried
+    if overlap:
+        raise DuplicateVertex(f"region holds queried vertices {sorted(overlap)}")
+
+    nbrs = set()
+    for w in region:
+        nbrs.update(inst.adjacency[w])
+    nbrs -= region
+    hooks = sorted(nbrs & queried)
+    if not hooks:
+        raise NoNeighborQueried(f"no neighbour of the region {sorted(region)} is queried yet")
+
+    depth = {d.root: 0}
+    stack = [d.root]
+    while stack:
+        v = stack.pop()
+        for child in d.child_list(v):
+            depth[child] = depth[v] + 1
+            stack.append(child)
+    deepest = max(hooks, key=lambda v: depth[v])
+
+    chain = {deepest}
+    parents = d.parent_map
+    v = deepest
+    while v != d.root:
+        v = parents[v]
+        chain.add(v)
+    stray = [q for q in hooks if q not in chain]
+    if stray:
+        raise NotAPath(
+            f"queried neighbours {stray} of the region are not ancestors of {deepest}"
+        )
+
+    branch = None
+    for comp in split_components(inst, inst.vertex_set, deepest):
+        if region <= comp:
+            branch = comp
+            break
+    if branch is None:
+        raise NotConnected(f"region is not inside one response branch of {deepest}")
+    for child in d.child_list(deepest):
+        if child in branch:
+            raise BranchOccupied(
+                f"query {deepest} already has a child on the branch holding the region"
+            )
+
+    merged = dict(d.children)
+    merged[deepest] = d.child_list(deepest) + (sub_dt.root,)
+    for q, kids in sub_dt.children.items():
+        merged[q] = kids
+    return DecisionTree(d.root, merged)

@@ -25,6 +25,7 @@ from treesearch import (
     k_up_modularity,
     normalize,
     opt_exact,
+    ranking_based_dt,
     separator_sets,
     serialize_decision_tree,
     tree_instance,
@@ -44,6 +45,7 @@ from treesearch.errors import (
 )
 
 import oracles
+from strategies import tree_instances
 
 # Largest binary64 below 1/log2(11); regression-pinned, independently
 # verified against mpmath in test_frozen_dyadic_for_11.
@@ -284,6 +286,98 @@ class TestAttachSubtree:
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "QueryOutsideCandidate"
+
+
+def _subtree(d, v):
+    """The strategy below ``v`` in ``d``, as a strategy of its own."""
+    children = {}
+    queue = [v]
+    for q in queue:
+        if d.child_list(q):
+            children[q] = d.child_list(q)
+            queue.extend(d.child_list(q))
+    return DecisionTree(v, children)
+
+
+def _draw_partial_strategy(inst, data):
+    """A prefix of a valid strategy, or an arbitrary tree on some vertices."""
+    if data.draw(st.booleans()):
+        full = ranking_based_dt(inst) if data.draw(st.booleans()) else create_decision_tree(inst)[0]
+        children = {}
+        queue = [full.root]
+        for q in queue:
+            kids = tuple(c for c in full.child_list(q) if data.draw(st.booleans()))
+            if kids:
+                children[q] = kids
+                queue.extend(kids)
+        return DecisionTree(full.root, children), full
+    verts = data.draw(st.permutations(range(1, inst.n + 1)))
+    verts = verts[: data.draw(st.integers(1, inst.n))]
+    children = {}
+    for i, v in enumerate(verts[1:], start=1):
+        above = verts[data.draw(st.integers(0, i - 1))]
+        children[above] = children.get(above, ()) + (v,)
+    return DecisionTree(verts[0], children), None
+
+
+def _draw_graft(inst, d, full, data):
+    """A region and a strategy for it: a pending subtree of ``full``, or random."""
+    queried = d.vertex_set
+    pending = [c for q in queried for c in (full.child_list(q) if full else ()) if c not in queried]
+    pieces = oracles.induced_components(inst, inst.vertex_set - queried)
+    touching = sorted(
+        u for u in inst.vertex_set - queried if any(y in queried for y in inst.adjacency[u])
+    )
+    kind = data.draw(st.sampled_from(["pending", "piece", "touching", "unqueried", "any"]))
+    if kind == "pending" and pending:
+        sub = _subtree(full, data.draw(st.sampled_from(sorted(pending))))
+        return sub.vertex_set, sub
+    if kind == "piece" and pieces:
+        region = data.draw(st.sampled_from(pieces))
+    elif kind == "touching" and touching:
+        region = {data.draw(st.sampled_from(touching))}
+    else:
+        pool = sorted(inst.vertex_set - queried) if kind == "unqueried" else sorted(inst.vertex_set)
+        if not pool:
+            pool = sorted(inst.vertex_set)
+        region = data.draw(st.sets(st.sampled_from(pool), min_size=1))
+    order = data.draw(st.permutations(sorted(region)))
+    if data.draw(st.integers(0, 4)) == 0:
+        order = order + [data.draw(st.integers(1, inst.n))]  # may leave the region
+    order = list(dict.fromkeys(order))
+    return region, DecisionTree(order[0], {a: (b,) for a, b in zip(order, order[1:])})
+
+
+def _graft_outcome(fn, d, inst, region, sub_dt):
+    try:
+        return fn(d, inst, region, sub_dt)
+    except TreeSearchError as exc:
+        return type(exc)
+
+
+class TestGraftAgainstReference:
+    """``attach_subtree`` against the graft that splits the whole tree."""
+
+    @given(tree_instances(min_n=2, max_n=14), st.data())
+    @settings(max_examples=400)
+    def test_same_tree_or_same_error(self, inst, data):
+        d, full = _draw_partial_strategy(inst, data)
+        for _ in range(3):
+            region, sub_dt = _draw_graft(inst, d, full, data)
+            got = _graft_outcome(attach_subtree, d, inst, region, sub_dt)
+            want = _graft_outcome(oracles.reference_attach_subtree, d, inst, region, sub_dt)
+            assert got == want
+            if not isinstance(got, DecisionTree):
+                return
+            d = got
+
+    def test_pending_subtrees_rebuild_the_strategy(self, fix1):
+        full = ranking_based_dt(fix1)
+        d = DecisionTree(full.root, {})
+        for child in full.child_list(full.root):
+            sub = _subtree(full, child)
+            d = attach_subtree(d, fix1, sub.vertex_set, sub)
+        assert d == full
 
 
 class TestCreateDecisionTree:

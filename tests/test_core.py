@@ -1,5 +1,6 @@
 """Core model: instance validation, splitting, strategy validity, costs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +181,75 @@ class TestTraversalKernel:
         for v in order[1:]:
             assert parent[v] in inst.adjacency[v]
             assert position[parent[v]] < position[v]
+
+
+def _heavy_agrees(inst, t):
+    cut = inst.cutoff(t)
+    for v in range(1, inst.n + 1):
+        assert (inst.cost(v) > t) == (inst.weights[v] > cut), (v, t)
+
+
+class TestIntegerWeights:
+    def test_fixture_weights(self, fix1):
+        assert fix1.denominator == 5
+        assert fix1.weights == (0, 1, 2, 1, 1, 3, 4, 5, 2, 3, 1, 4)
+
+    def test_float_between_neighbouring_costs(self, fix1):
+        # 0.6 lies just below 3/5, so cost-3/5 vertices count as above it.
+        assert fix1.cutoff(0.6) == 2
+        assert fix1.cutoff(Fraction(3, 5)) == 3
+        assert fix1.cutoff(1) == 5
+
+    def test_non_finite_floats(self, fix1):
+        _heavy_agrees(fix1, math.inf)
+        _heavy_agrees(fix1, -math.inf)
+        _heavy_agrees(fix1, math.nan)
+
+    @given(tree_instances(max_n=12), st.data())
+    @settings(max_examples=150)
+    def test_cutoff_against_direct_comparison(self, inst, data):
+        t = data.draw(st.fractions(min_value=-1, max_value=2, max_denominator=60))
+        _heavy_agrees(inst, t)
+        _heavy_agrees(inst, data.draw(st.integers(-2, 3)))
+        for c in inst.costs:
+            _heavy_agrees(inst, c)
+            f = float(c)
+            for x in (f, math.nextafter(f, 0.0), math.nextafter(f, math.inf)):
+                _heavy_agrees(inst, x)
+
+    @given(
+        st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=10**3,
+                              max_denominator=10**6), min_size=1, max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_cutoff_with_mixed_denominators(self, costs, data):
+        n = len(costs)
+        inst = tree_instance(n, [(i, i + 1) for i in range(1, n)], costs)
+        assert all(Fraction(w, inst.denominator) == c for w, c in zip(inst.weights[1:], costs))
+        for c in inst.costs:
+            f = float(c)
+            for x in (f, math.nextafter(f, 0.0), math.nextafter(f, math.inf)):
+                _heavy_agrees(inst, x)
+        _heavy_agrees(inst, data.draw(st.floats(allow_nan=True)))
+
+    @given(tree_instances(max_n=20))
+    @settings(max_examples=80)
+    def test_preorder_intervals_are_subtrees(self, inst):
+        parent, first, last = inst.preorder
+        assert parent[1] == 0 and first[1] == 0 and last[1] == inst.n - 1
+        assert sorted(first[1:]) == list(range(inst.n))
+        for v in range(1, inst.n + 1):
+            below = {u for u in range(1, inst.n + 1) if first[v] <= first[u] <= last[v]}
+            # u is below v exactly when the path from u to vertex 1 passes v
+            for u in range(1, inst.n + 1):
+                x = u
+                while x and x != v:
+                    x = parent[x]
+                assert (u in below) == (x == v)
+            if v != 1:
+                assert parent[v] in inst.adjacency[v]
+                assert first[parent[v]] < first[v]
 
 
 class TestValidateDecisionTree:

@@ -1,9 +1,12 @@
 """Threshold decompositions and the modularity parameter."""
 
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesearch import (
     heavy_modules,
@@ -11,6 +14,7 @@ from treesearch import (
     k_up_modularity,
     tree_instance,
 )
+from treesearch.errors import UnknownVertex
 
 import oracles
 from strategies import tree_instances
@@ -119,3 +123,50 @@ class TestIsUpMonotonic:
         inst = tree_instance(3, [(1, 2), (2, 3)], [1, "1/2", 1])
         assert not is_up_monotonic(inst)
         assert k_up_modularity(inst)[0] == 2
+
+
+def path3():
+    return tree_instance(3, [(1, 2), (2, 3)], [1, "1/2", 1])
+
+
+class TestUnknownVertices:
+    @pytest.mark.parametrize("within", [{1, 9}, {0, 1}, {-1, 2}, {4}])
+    def test_heavy_modules_rejects_ids_outside_range(self, within):
+        with pytest.raises(UnknownVertex):
+            heavy_modules(path3(), 0, within=within)
+
+    @pytest.mark.parametrize("within", [{1, 9}, {0, 1}, {-1, 2}, {4}])
+    def test_k_up_modularity_rejects_ids_outside_range(self, within):
+        with pytest.raises(UnknownVertex):
+            k_up_modularity(path3(), within=within)
+
+    def test_empty_within(self):
+        assert heavy_modules(path3(), 0, within=set()).count == 0
+        assert k_up_modularity(path3(), within=set()) == (0, 0)
+
+
+class TestAgainstThresholdScan:
+    """The union-find sweep and integer cutoffs against the rational scan."""
+
+    @given(tree_instances(max_n=24))
+    @settings(max_examples=150)
+    def test_whole_tree(self, inst):
+        assert k_up_modularity(inst) == oracles.reference_k_up_modularity(inst)
+
+    @given(tree_instances(max_n=24), st.data())
+    @settings(max_examples=150)
+    def test_within(self, inst, data):
+        sub = data.draw(st.sets(st.integers(1, inst.n)))
+        assert k_up_modularity(inst, within=sub) == oracles.reference_k_up_modularity(
+            inst, within=sub
+        )
+
+    @given(tree_instances(max_n=24, cost_steps=5), st.data())
+    @settings(max_examples=100)
+    def test_heavy_modules(self, inst, data):
+        sub = data.draw(st.none() | st.sets(st.integers(1, inst.n)))
+        c = data.draw(st.sampled_from(inst.costs))
+        for t in (c, float(c), math.nextafter(float(c), 0.0), Fraction(c.numerator, c.denominator + 1)):
+            assert heavy_modules(inst, t, within=sub).modules == oracles.reference_heavy_modules(
+                inst, t, within=sub
+            )

@@ -83,6 +83,11 @@ class TestVertexRanking:
             assert not oracles.exists_ranking_with(inst, r.max_label - 1, is_valid_ranking)
 
 
+    def test_empty_within_is_not_connected(self):
+        with pytest.raises(NotConnected):
+            is_valid_ranking(uniform_path(3), {}, within=set())
+
+
 class TestRankingBasedDT:
     def test_path7_depth_and_cost(self):
         inst = uniform_path(7)
