@@ -13,7 +13,9 @@ early-stopping contraction in ``approx`` keeps its own walk):
 :func:`induced_components` finds the connected pieces of a vertex set
 (response components, heavy modules, leftover regions) and
 :func:`rooted_order` roots a connected set (separator spans, rankings,
-the exact solver's edge sides).
+the exact solver's edge sides).  A strategy is checked and priced in
+one walk of it plus one pass over the instance edges, and every
+``within`` argument is resolved by :meth:`TreeInstance.subset`.
 
 All cost arithmetic is exact.  Costs are `fractions.Fraction` at the API
 boundary; inside, each instance carries them once as integers over their
@@ -91,6 +93,16 @@ class TreeInstance:
         denom = self.denominator
         return (0,) + tuple(c.numerator * (denom // c.denominator) for c in self.costs)
 
+    def subset(self, within) -> frozenset[int]:
+        """The vertex set ``within`` (all vertices for ``None``), checked to lie in ``1..n``."""
+        if within is None:
+            return self.vertex_set
+        verts = frozenset(within)
+        unknown = verts - self.vertex_set
+        if unknown:
+            raise UnknownVertex(f"vertices {sorted(unknown)} are not in 1..{self.n}")
+        return verts
+
     def cutoff(self, threshold) -> int:
         """The integer ``c`` with ``cost(v) > threshold`` exactly when ``weights[v] > c``.
 
@@ -112,20 +124,9 @@ class TreeInstance:
         largest one in its subtree, so ``u`` lies in the subtree of ``v``
         exactly when ``first[v] <= first[u] <= last[v]``; ``parent[1]`` is 0.
         """
-        order, parent_of = rooted_order(self, self.vertex_set, 1)
-        size = [1] * (self.n + 1)
-        for v in reversed(order[1:]):
-            size[parent_of[v]] += size[v]
-        parent = [0] * (self.n + 1)
-        first = [0] * (self.n + 1)
-        free = [1] * (self.n + 1)  # next unused preorder index below each vertex
-        for v in order[1:]:
-            p = parent_of[v]
-            parent[v] = p
-            first[v] = free[p]
-            free[p] += size[v]
-            free[v] = first[v] + 1
-        last = [first[v] + size[v] - 1 for v in range(self.n + 1)]
+        order, parent = rooted_order(self, self.vertex_set, 1)
+        first, last = _intervals(order, parent, self.n)
+        parent = [parent.get(v, 0) for v in range(self.n + 1)]
         return tuple(parent), tuple(first), tuple(last)
 
 
@@ -168,15 +169,16 @@ class DecisionTree:
 
     @cached_property
     def depth(self) -> int:
-        """Worst-case number of queries (vertices on the longest root path)."""
-        best = 0
-        stack = [(self.root, 1)]
-        while stack:
-            v, d = stack.pop()
-            best = max(best, d)
+        """Worst-case number of queries; :class:`DuplicateVertex` if a vertex recurs."""
+        depth = {self.root: 1}
+        order = [self.root]
+        for v in order:
             for child in self.child_list(v):
-                stack.append((child, d + 1))
-        return best
+                if child in depth:
+                    raise DuplicateVertex(f"vertex {child} is reached twice from the root")
+                depth[child] = depth[v] + 1
+                order.append(child)
+        return max(depth.values())
 
 
 @dataclass(frozen=True)
@@ -323,20 +325,66 @@ def split_components(inst: TreeInstance, candidate, v: int) -> list[frozenset[in
     return induced_components(inst, cand - {v})
 
 
-def _appearance_check(d: DecisionTree, universe: frozenset[int]) -> None:
-    seen: dict[int, int] = {d.root: 1}
-    for kids in d.children.values():
+def _intervals(order, parent, n: int) -> tuple[list[int], list[int]]:
+    """Preorder ``first`` and subtree-end ``last`` indices, by vertex id (others 0).
+
+    ``order`` is parents first from the root and ``parent`` maps the rest.
+    """
+    size = [1] * (n + 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    first = [0] * (n + 1)
+    free = [1] * (n + 1)  # next unused preorder index below each vertex
+    for v in order[1:]:
+        p = parent[v]
+        first[v] = free[p]
+        free[p] += size[v]
+        free[v] = first[v] + 1
+    return first, [f + k - 1 for f, k in zip(first, size)]
+
+
+def _strategy_order(inst: TreeInstance, d: DecisionTree, within):
+    """``d``'s parents-first order and parent map (root to 0), checked to be a strategy."""
+    universe = inst.subset(within)
+    parent = {d.root: 0}
+    for q, kids in d.children.items():
         for child in kids:
-            seen[child] = seen.get(child, 0) + 1
-    dups = sorted(v for v, cnt in seen.items() if cnt > 1)
-    if dups:
-        raise DuplicateVertex(f"vertices appear more than once: {dups}")
-    extra = sorted(set(seen) - universe)
+            if child in parent:
+                raise DuplicateVertex(f"vertex {child} appears more than once")
+            parent[child] = q
+    extra = sorted(parent.keys() - universe)
     if extra:
         raise QueryOutsideCandidate(extra[0], f"vertices outside the instance: {extra}")
-    missing = sorted(universe - set(seen))
-    if missing:
-        raise MissingVertex(f"vertices never queried: {missing}")
+    if len(parent) < len(universe):
+        raise MissingVertex(f"vertices never queried: {sorted(universe - parent.keys())}")
+    order = [d.root]
+    for q in order:
+        order.extend(d.child_list(q))
+    if len(order) < len(universe):
+        unreachable = sorted(universe - set(order))
+        raise MissingVertex(f"vertices not reachable from the root: {unreachable}")
+
+    # Vertices outside the universe keep first == 0, so each edge inside it
+    # is seen once, from the end numbered first, which must be an ancestor
+    # of the other; inner[v] ends up counting the edges inside v's subtree.
+    first, last = _intervals(order, parent, inst.n)
+    inner = [0] * (inst.n + 1)
+    adjacency = inst.adjacency
+    for u in universe:
+        lo, hi = first[u], last[u]
+        for v in adjacency[u]:
+            if first[v] > lo:
+                if first[v] > hi:
+                    x = parent[u]
+                    while not first[x] <= first[v] <= last[x]:
+                        x = parent[x]
+                    raise ComponentMismatch(x)
+                inner[u] += 1
+    for v in reversed(order[1:]):
+        if inner[v] < last[v] - first[v]:
+            raise ComponentMismatch(parent[v])
+        inner[parent[v]] += inner[v]
+    return order, parent
 
 
 def validate_decision_tree(
@@ -344,67 +392,25 @@ def validate_decision_tree(
 ) -> DecisionTree:
     """Check that ``d`` is a valid strategy for the instance.
 
-    Starting from the full candidate set, every query must lie inside its
-    own candidate set and its children must correspond one-to-one to the
-    components left after removing the queried vertex, with each child's
-    subtree covering exactly its component.  ``within`` restricts the
-    universe to a connected vertex subset (defaults to all vertices).
+    A query answers with the component of its candidate set that holds
+    the target, so ``d`` is valid exactly when it is an elimination tree
+    of the universe: it holds every vertex once, every instance edge in
+    the universe joins a query to one of its descendants, and the vertices
+    below each non-root query induce a connected subtree.  ``within``
+    restricts the universe to a vertex subset (defaults to all vertices).
     """
-    universe = frozenset(within) if within is not None else inst.vertex_set
-    _appearance_check(d, universe)
-
-    # Subtree vertex sets, computed bottom-up over the (acyclic) child map.
-    order = []
-    stack = [d.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(d.child_list(v))
-    subtree: dict[int, frozenset[int]] = {}
-    for v in reversed(order):
-        acc = {v}
-        for child in d.child_list(v):
-            acc.update(subtree[child])
-        subtree[v] = frozenset(acc)
-    if subtree[d.root] != universe:
-        unreachable = sorted(universe - subtree[d.root])
-        raise MissingVertex(f"vertices not reachable from the root: {unreachable}")
-
-    work = [(d.root, universe)]
-    while work:
-        q, cand = work.pop()
-        if q not in cand:
-            raise QueryOutsideCandidate(q)
-        comps = split_components(inst, cand, q)
-        kids = d.child_list(q)
-        if len(kids) != len(comps):
-            raise ComponentMismatch(
-                q, f"query {q} has {len(kids)} children but {len(comps)} response components"
-            )
-        remaining = {comp: comp for comp in comps}
-        for child in kids:
-            match = remaining.pop(subtree[child], None)
-            if match is None:
-                raise ComponentMismatch(
-                    q, f"subtree of child {child} does not equal a response component of {q}"
-                )
-            work.append((child, match))
+    _strategy_order(inst, d, within)
     return d
 
 
 def evaluate_cost(inst: TreeInstance, d: DecisionTree, within=None) -> Fraction:
     """Worst-case total query cost of a valid strategy, as an exact rational."""
-    validate_decision_tree(inst, d, within=within)
-    best = Fraction(0)
-    stack = [(d.root, Fraction(0))]
-    while stack:
-        v, acc = stack.pop()
-        acc = acc + inst.cost(v)
-        if acc > best:
-            best = acc
-        for child in d.child_list(v):
-            stack.append((child, acc))
-    return best
+    order, parent = _strategy_order(inst, d, within)
+    weights = inst.weights
+    total = [0] * (inst.n + 1)  # weight of the root path, by vertex id
+    for v in order:
+        total[v] = total[parent[v]] + weights[v]
+    return Fraction(max(total), inst.denominator)
 
 
 def query_sequence(inst: TreeInstance, d: DecisionTree, x: int) -> QuerySequence:
@@ -414,6 +420,10 @@ def query_sequence(inst: TreeInstance, d: DecisionTree, x: int) -> QuerySequence
     parents = d.parent_map
     path = [x]
     while path[-1] != d.root:
+        if path[-1] not in parents:
+            raise MissingVertex(f"vertex {x} is not reachable from the root")
+        if len(path) > len(parents):  # each of them has a parent, so one repeats
+            raise DuplicateVertex(f"the parent chain of vertex {x} repeats a vertex")
         path.append(parents[path[-1]])
     path.reverse()
     total = sum((inst.cost(v) for v in path), Fraction(0))

@@ -58,7 +58,7 @@ def opt_exact(
     """
     if limits is None:
         limits = SolveLimits()
-    verts = sorted(within) if within is not None else list(range(1, inst.n + 1))
+    verts = sorted(inst.subset(within))
     m = len(verts)
     if m == 0:
         raise NotConnected("empty vertex set")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import TreeInstance, induced_components, rooted_order
-from .errors import UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -35,17 +34,6 @@ class HeavyModuleDecomposition:
         return len(self.modules)
 
 
-def _members(inst: TreeInstance, within):
-    """The vertices of ``within`` (all vertices when ``None``), checked to be ids."""
-    if within is None:
-        return range(1, inst.n + 1)
-    verts = frozenset(within)
-    if verts and (min(verts) < 1 or max(verts) > inst.n):
-        unknown = sorted(v for v in verts if not 1 <= v <= inst.n)
-        raise UnknownVertex(f"vertices {unknown} are not in 1..{inst.n}")
-    return verts
-
-
 def heavy_modules(inst: TreeInstance, threshold, within=None) -> HeavyModuleDecomposition:
     """Connected components of ``{v : cost(v) > threshold}``.
 
@@ -53,7 +41,7 @@ def heavy_modules(inst: TreeInstance, threshold, within=None) -> HeavyModuleDeco
     Modules are listed in increasing order of their smallest vertex.
     Raises :class:`UnknownVertex` for ids in ``within`` outside ``1..n``.
     """
-    verts = _members(inst, within)
+    verts = inst.subset(within)
     weights = inst.weights
     cut = inst.cutoff(threshold)
     heavy = [v for v in verts if weights[v] > cut]
@@ -72,7 +60,7 @@ def k_up_modularity(inst: TreeInstance, within=None) -> tuple[int, Fraction]:
     maximum.  Raises :class:`UnknownVertex` for ids in ``within`` outside
     ``1..n``.
     """
-    verts = _members(inst, within)
+    verts = inst.subset(within)
     weights = inst.weights
     adjacency = inst.adjacency
     order = sorted(verts, key=weights.__getitem__, reverse=True)

@@ -38,7 +38,7 @@ def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
     Deterministic for fixed input; the maximum label never exceeds
     ``floor(log2 m) + 1`` where ``m`` is the size of the set.
     """
-    verts = frozenset(within) if within is not None else inst.vertex_set
+    verts = inst.subset(within)
     if not verts:
         raise NotConnected("empty vertex set")
     order, parent = rooted_order(inst, verts, min(verts))
@@ -66,7 +66,7 @@ def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
 
 def is_valid_ranking(inst: TreeInstance, labels: Mapping[int, int], within=None) -> bool:
     """Direct check of the ranking property on every equal-label pair."""
-    verts = sorted(within) if within is not None else sorted(inst.vertex_set)
+    verts = sorted(inst.subset(within))
     if not verts:
         raise NotConnected("empty vertex set")
     order, parent = rooted_order(inst, verts, verts[0])
@@ -106,7 +106,7 @@ def ranking_based_dt(inst: TreeInstance, within=None) -> DecisionTree:
     at most ``floor(log2 m) + 1``, and the result is an optimal strategy
     whenever all costs are equal.
     """
-    verts = frozenset(within) if within is not None else inst.vertex_set
+    verts = inst.subset(within)
     ranking = vertex_ranking(inst, within=verts)
     labels = ranking.labels
     children: dict[int, tuple[int, ...]] = {}

@@ -8,7 +8,10 @@ reproduce: ``reference_opt_exact`` (the bitmask solver that finds
 components by search), ``reference_k_up_modularity`` (one heavy-module
 scan per distinct cost, comparing rational costs directly) and
 ``reference_attach_subtree`` (the graft that rebuilds whole-strategy
-maps and splits the whole tree on every call).
+maps and splits the whole tree on every call), and
+``reference_validate_decision_tree`` / ``reference_evaluate_cost`` (the
+strategy check that re-runs the search, splitting each query's candidate
+set, and the cost walk over ``Fraction`` path sums).
 """
 
 import itertools
@@ -19,7 +22,9 @@ from treesearch import DecisionTree, SolveLimits, split_components, tree_instanc
 from treesearch.core import TreeInstance
 from treesearch.errors import (
     BranchOccupied,
+    ComponentMismatch,
     DuplicateVertex,
+    MissingVertex,
     NoNeighborQueried,
     NotAPath,
     NotConnected,
@@ -378,3 +383,87 @@ def reference_attach_subtree(d, inst, region, sub_dt):
     for q, kids in sub_dt.children.items():
         merged[q] = kids
     return DecisionTree(d.root, merged)
+
+
+def _reference_appearance_check(d: DecisionTree, universe: frozenset[int]) -> None:
+    seen: dict[int, int] = {d.root: 1}
+    for kids in d.children.values():
+        for child in kids:
+            seen[child] = seen.get(child, 0) + 1
+    dups = sorted(v for v, cnt in seen.items() if cnt > 1)
+    if dups:
+        raise DuplicateVertex(f"vertices appear more than once: {dups}")
+    extra = sorted(set(seen) - universe)
+    if extra:
+        raise QueryOutsideCandidate(extra[0], f"vertices outside the instance: {extra}")
+    missing = sorted(universe - set(seen))
+    if missing:
+        raise MissingVertex(f"vertices never queried: {missing}")
+
+
+def reference_validate_decision_tree(
+    inst: TreeInstance, d: DecisionTree, within=None
+) -> DecisionTree:
+    """Check that ``d`` is a valid strategy for the instance.
+
+    Starting from the full candidate set, every query must lie inside its
+    own candidate set and its children must correspond one-to-one to the
+    components left after removing the queried vertex, with each child's
+    subtree covering exactly its component.  ``within`` restricts the
+    universe to a connected vertex subset (defaults to all vertices).
+    """
+    universe = frozenset(within) if within is not None else inst.vertex_set
+    _reference_appearance_check(d, universe)
+
+    # Subtree vertex sets, computed bottom-up over the (acyclic) child map.
+    order = []
+    stack = [d.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(d.child_list(v))
+    subtree: dict[int, frozenset[int]] = {}
+    for v in reversed(order):
+        acc = {v}
+        for child in d.child_list(v):
+            acc.update(subtree[child])
+        subtree[v] = frozenset(acc)
+    if subtree[d.root] != universe:
+        unreachable = sorted(universe - subtree[d.root])
+        raise MissingVertex(f"vertices not reachable from the root: {unreachable}")
+
+    work = [(d.root, universe)]
+    while work:
+        q, cand = work.pop()
+        if q not in cand:
+            raise QueryOutsideCandidate(q)
+        comps = split_components(inst, cand, q)
+        kids = d.child_list(q)
+        if len(kids) != len(comps):
+            raise ComponentMismatch(
+                q, f"query {q} has {len(kids)} children but {len(comps)} response components"
+            )
+        remaining = {comp: comp for comp in comps}
+        for child in kids:
+            match = remaining.pop(subtree[child], None)
+            if match is None:
+                raise ComponentMismatch(
+                    q, f"subtree of child {child} does not equal a response component of {q}"
+                )
+            work.append((child, match))
+    return d
+
+
+def reference_evaluate_cost(inst: TreeInstance, d: DecisionTree, within=None) -> Fraction:
+    """Worst-case total query cost of a valid strategy, as an exact rational."""
+    reference_validate_decision_tree(inst, d, within=within)
+    best = Fraction(0)
+    stack = [(d.root, Fraction(0))]
+    while stack:
+        v, acc = stack.pop()
+        acc = acc + inst.cost(v)
+        if acc > best:
+            best = acc
+        for child in d.child_list(v):
+            stack.append((child, acc))
+    return best

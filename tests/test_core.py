@@ -1,17 +1,24 @@
 """Core model: instance validation, splitting, strategy validity, costs."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treesearch
 from treesearch import (
     DecisionTree,
+    create_decision_tree,
     evaluate_cost,
     normalize,
+    opt_exact,
     query_sequence,
     ranking_based_dt,
     split_components,
@@ -30,6 +37,7 @@ from treesearch.errors import (
     NotATree,
     NotConnected,
     QueryOutsideCandidate,
+    TreeSearchError,
     UnknownVertex,
     VertexNotInCandidate,
 )
@@ -290,6 +298,188 @@ class TestValidateDecisionTree:
             validate_decision_tree(fix1, sub)
 
 
+P3 = tree_instance(3, [(1, 2), (2, 3)], [1, 2, "5/7"])
+
+
+class TestWithinIds:
+    def test_subset(self):
+        assert P3.subset(None) is P3.vertex_set
+        assert P3.subset([3, 1, 3]) == frozenset({1, 3})
+        assert P3.subset(()) == frozenset()
+        with pytest.raises(UnknownVertex):
+            P3.subset({1, 4})
+
+    def test_evaluate_cost_rejects_vertex_0(self):
+        with pytest.raises(UnknownVertex):
+            evaluate_cost(P3, DecisionTree(0, {}), within={0})
+
+    def test_validate_rejects_vertex_past_n(self):
+        with pytest.raises(UnknownVertex):
+            validate_decision_tree(P3, DecisionTree(99, {}), within={99})
+
+    def test_opt_exact_rejects_vertex_0(self):
+        with pytest.raises(UnknownVertex):
+            opt_exact(P3, within={0})
+
+    def test_ranking_based_dt_rejects_vertex_0(self):
+        with pytest.raises(UnknownVertex):
+            ranking_based_dt(P3, within={0})
+
+    def test_opt_exact_rejects_vertex_past_n(self):
+        with pytest.raises(UnknownVertex):
+            opt_exact(P3, within={99})
+
+
+def _run_briefly(call: str) -> str:
+    """Run ``call`` in a fresh interpreter with a timeout; print its error type."""
+    script = (
+        "from treesearch import DecisionTree, query_sequence, tree_instance\n"
+        "from treesearch.errors import TreeSearchError\n"
+        "P3 = tree_instance(3, [(1, 2), (2, 3)], [1, 2, '5/7'])\n"
+        "try:\n"
+        f"    {call}\n"
+        "except TreeSearchError as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(treesearch.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestCyclicChildMaps:
+    def test_depth(self):
+        assert _run_briefly("DecisionTree(1, {1: (2,), 2: (1,)}).depth") == "DuplicateVertex"
+
+    def test_query_sequence(self):
+        call = "query_sequence(P3, DecisionTree(1, {1: (2,), 2: (3,), 3: (2,)}), 2)"
+        assert _run_briefly(call) == "DuplicateVertex"
+
+
+def _relabelled(inst, verts, build):
+    """``build`` run on the subtree induced by the connected set ``verts``, in ``inst``'s ids."""
+    ids = sorted(verts)
+    index = {v: i + 1 for i, v in enumerate(ids)}
+    sub = tree_instance(
+        len(ids),
+        [(index[u], index[v]) for u, v in inst.edges if u in index and v in index],
+        [inst.cost(v) for v in ids],
+    )
+    d = build(sub)
+    kids = {ids[q - 1]: tuple(ids[c - 1] for c in cs) for q, cs in d.children.items()}
+    return DecisionTree(ids[d.root - 1], kids)
+
+
+BUILDERS = {
+    "ranking": ranking_based_dt,
+    "approx": lambda inst: create_decision_tree(inst)[0],
+    "exact": lambda inst: opt_exact(inst)[1],
+}
+
+
+def _draw_strategy(inst, universe, data):
+    """A valid strategy on ``universe``, then 0-3 random mutations of it."""
+    build = BUILDERS[data.draw(st.sampled_from(sorted(BUILDERS)))]
+    pieces = induced_components(inst, universe)
+    if len(pieces) == 1:
+        d = _relabelled(inst, universe, build)
+        root, children = d.root, {q: list(kids) for q, kids in d.children.items()}
+    else:  # any root, then one strategy per component of the rest
+        root = data.draw(st.sampled_from(sorted(universe))) if universe else 1
+        children = {root: []}
+        for piece in induced_components(inst, universe - {root}):
+            d = _relabelled(inst, piece, build)
+            children[root].append(d.root)
+            children.update((q, list(kids)) for q, kids in d.children.items())
+
+    for _ in range(data.draw(st.integers(0, 3))):
+        verts = sorted({root}.union(*children.values()))
+        edges = [(q, c) for q in sorted(children) for c in children[q]]
+        kind = data.draw(st.sampled_from(["reparent", "swap", "rotate", "drop", "add"]))
+        if kind == "reparent" and edges:
+            q, c = data.draw(st.sampled_from(edges))
+            children[q].remove(c)
+            children.setdefault(data.draw(st.sampled_from(verts)), []).append(c)
+        elif kind == "swap":
+            a, b = data.draw(st.sampled_from(verts)), data.draw(st.sampled_from(verts))
+            swap = {a: b, b: a}
+            root = swap.get(root, root)
+            children = {
+                swap.get(q, q): [swap.get(c, c) for c in kids] for q, kids in children.items()
+            }
+        elif kind == "rotate" and children.get(root):
+            c = data.draw(st.sampled_from(children[root]))
+            children[root].remove(c)
+            children.setdefault(c, []).append(root)
+            root = c
+        elif kind == "drop" and edges:
+            q, c = data.draw(st.sampled_from(edges))
+            children[q].remove(c)
+        elif kind == "add":
+            q = data.draw(st.sampled_from(verts))
+            children.setdefault(q, []).append(data.draw(st.integers(-1, inst.n + 2)))
+    return DecisionTree(root, children)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except TreeSearchError as exc:
+        return type(exc)
+
+
+def _mismatched(inst, d, universe, q):
+    """Whether the children of query ``q`` differ from its response components."""
+
+    def below(v):
+        return frozenset({v}).union(*(below(c) for c in d.child_list(v)))
+
+    cand = universe if q == d.root else below(q)
+    return {below(c) for c in d.child_list(q)} != set(split_components(inst, cand, q))
+
+
+class TestStrategyCheckAgainstReference:
+    @given(tree_instances(max_n=12), st.data())
+    @settings(max_examples=600)
+    def test_same_outcome_and_cost(self, inst, data):
+        kind = data.draw(st.sampled_from(["all", "connected", "disconnected"]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        within = universe = oracles.random_connected_subset(inst, rng.randint(1, inst.n), rng)
+        if kind == "all":
+            within, universe = None, inst.vertex_set
+        elif kind == "disconnected":  # drop a vertex with two neighbours in the set
+            adjacency = inst.adjacency
+            inner = [v for v in sorted(universe) if len(universe.intersection(adjacency[v])) > 1]
+            within = universe = (
+                universe - {rng.choice(inner)} if inner
+                else frozenset(data.draw(st.sets(st.integers(1, inst.n))))
+            )
+        d = _draw_strategy(inst, universe, data)
+
+        expected = _outcome(oracles.reference_validate_decision_tree, inst, d, within=within)
+        assert _outcome(validate_decision_tree, inst, d, within=within) == expected
+        assert _outcome(evaluate_cost, inst, d, within=within) == _outcome(
+            oracles.reference_evaluate_cost, inst, d, within=within
+        )
+        if expected is ComponentMismatch:
+            with pytest.raises(ComponentMismatch) as caught:
+                validate_decision_tree(inst, d, within=within)
+            assert _mismatched(inst, d, universe, caught.value.vertex)
+
+    def test_deep_and_wide_strategies(self):
+        n = 1500
+        rng = random.Random(n)
+        inst = oracles.random_attachment_tree(n, rng, oracles.random_costs(n, rng))
+        path = tree_instance(n, [(i, i + 1) for i in range(1, n)], [1] * n)
+        for instance, d in [
+            (inst, ranking_based_dt(inst)),
+            (path, DecisionTree(1, {i: (i + 1,) for i in range(1, n)})),
+            (path, DecisionTree(n, {i + 1: (i,) for i in range(1, n)})),
+        ]:
+            assert evaluate_cost(instance, d) == oracles.reference_evaluate_cost(instance, d)
+
+
 class TestEvaluateCost:
     def test_fixture_cost(self, fix1, dfix2):
         assert evaluate_cost(fix1, dfix2) == Fraction(11, 5)
@@ -336,6 +526,10 @@ class TestQuerySequence:
     def test_unknown_vertex(self, fix1, dfix2):
         with pytest.raises(UnknownVertex):
             query_sequence(fix1, dfix2, 12)
+
+    def test_target_below_an_unreachable_query(self):
+        with pytest.raises(MissingVertex):
+            query_sequence(P3, DecisionTree(1, {2: (3,)}), 3)
 
     def test_no_target_beats_worst_case(self, fix1, dfix2):
         worst = evaluate_cost(fix1, dfix2)
