@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .approx import create_decision_tree
 from .bench import BenchConfig, report_to_csv, report_to_json, run_bench
@@ -117,8 +116,7 @@ def _cmd_kmod(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    eps = Fraction(args.eps) if args.eps is not None else None
-    inst = generate_instance(args.shape, args.cost_model, args.n, args.seed, k=args.k, eps=eps)
+    inst = generate_instance(args.shape, args.cost_model, args.n, args.seed, k=args.k, eps=args.eps)
     _write(args, serialize_instance(inst))
     return 0
 

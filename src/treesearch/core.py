@@ -8,14 +8,16 @@ vertex set whose branches mirror those components.  Locating a target
 costs the sum of the query costs along the root-to-target path; a
 strategy is scored by its worst-case target.
 
-Every module traverses the tree through two helpers here (only the
-early-stopping contraction in ``approx`` keeps its own walk):
+Searches of the tree go through two helpers here:
 :func:`induced_components` finds the connected pieces of a vertex set
 (response components, heavy modules, leftover regions) and
 :func:`rooted_order` roots a connected set (separator spans, rankings,
-the exact solver's edge sides).  A strategy is checked and priced in
-one walk of it plus one pass over the instance edges, and every
-``within`` argument is resolved by :meth:`TreeInstance.subset`.
+the exact solver's edge sides).  The other walks are sweeps over :attr:`TreeInstance.adjacency`:
+the early-stopping contraction in ``approx``, and the union-find sweeps
+of ``modularity`` (decreasing cost) and ``ranking`` (increasing label).
+A strategy is checked and priced in one walk of it plus one pass over
+the instance edges, and every ``within`` argument is resolved by
+:meth:`TreeInstance.subset`.
 
 All cost arithmetic is exact.  Costs are `fractions.Fraction` at the API
 boundary; inside, each instance carries them once as integers over their
@@ -194,7 +196,7 @@ def tree_instance(n: int, edges: Iterable, costs: Iterable) -> TreeInstance:
     raw = TreeInstance(
         int(n),
         tuple((int(u), int(v)) for u, v in edges),
-        tuple(Fraction(c) for c in costs),
+        tuple(costs),
     )
     return validate_instance(raw)
 

@@ -158,7 +158,10 @@ def _costs(
     if cost_model == "alternating":
         if eps is None:
             raise InvalidParameters("alternating requires eps > 0")
-        eps = Fraction(eps)
+        try:
+            eps = Fraction(eps)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidParameters(f"eps {eps!r} is not a rational number") from exc
         if eps <= 0:
             raise InvalidParameters("alternating requires eps > 0")
         layer = _bfs_layers(n, edges, 1)

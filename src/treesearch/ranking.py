@@ -12,7 +12,10 @@ strategy is optimal for uniform query costs and never issues more than
 The ranking itself is computed bottom-up: each rooted subtree reports the
 set of labels still "visible" from its root (no larger label in between),
 and a vertex takes the smallest label that is not visible in any child
-and exceeds every label visible twice.
+and exceeds every label visible twice; label sets are int bitmasks
+(Schäffer, IPL 1989).  Checking labels and building their strategy is one
+union-find sweep in increasing label order (Liu's elimination tree, SIAM
+J. Matrix Anal. Appl. 1990).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import DecisionTree, TreeInstance, rooted_order, split_components
-from .errors import InvalidDecisionTree, NotConnected
+from .core import DecisionTree, TreeInstance, rooted_order
+from .errors import InvalidDecisionTree, InvalidParameters, NotConnected
 
 
 @dataclass(frozen=True)
@@ -43,59 +46,62 @@ def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
         raise NotConnected("empty vertex set")
     order, parent = rooted_order(inst, verts, min(verts))
 
-    children: dict[int, list[int]] = {v: [] for v in verts}
-    for v in order[1:]:
-        children[parent[v]].append(v)
-
+    # Bit l of seen[v] (twice[v]) is set when label l is visible from
+    # at least one (two) of v's children.
+    seen = dict.fromkeys(order, 0)
+    twice = dict.fromkeys(order, 0)
     labels: dict[int, int] = {}
-    visible: dict[int, frozenset[int]] = {}
     for v in reversed(order):
-        counts: dict[int, int] = {}
-        for child in children[v]:
-            for lbl in visible[child]:
-                counts[lbl] = counts.get(lbl, 0) + 1
-        dup_max = max((lbl for lbl, cnt in counts.items() if cnt > 1), default=0)
-        lbl = max(1, dup_max)
-        while lbl in counts:
+        lbl = max(1, twice[v].bit_length() - 1)
+        while seen[v] >> lbl & 1:
             lbl += 1
         labels[v] = lbl
-        visible[v] = frozenset({lbl} | {l for l in counts if l > lbl})
+        visible = (seen[v] >> lbl | 1) << lbl
+        p = parent[v]
+        if p:
+            twice[p] |= seen[p] & visible
+            seen[p] |= visible
 
     return Ranking(labels, max(labels.values()))
 
 
+def _elimination_tree(inst: TreeInstance, labels: Mapping[int, int], within):
+    """``(root, children)`` of the strategy ``labels`` induce, or ``None`` if no ranking.
+
+    Each vertex adopts the tops of its visited neighbours' pieces, ordered
+    by smallest vertex; a top labelled at least as high breaks the ranking.
+    """
+    verts = inst.subset(within)
+    unlabelled = sorted(v for v in verts if v not in labels)
+    if unlabelled:
+        raise InvalidParameters(f"vertices {unlabelled} have no label")
+    order = sorted(verts, key=labels.__getitem__)
+
+    adjacency = inst.adjacency
+    up: dict[int, int] = {}  # union-find links of the visited vertices
+    low: dict[int, int] = {}  # smallest vertex of each top's piece
+    children: dict[int, list[int]] = {}
+    ranked = True
+    for v in order:
+        up[v] = v
+        kids = children[v] = []
+        for u in adjacency[v]:
+            if u in up:
+                while up[u] != u:  # path halving up to the top of u's piece
+                    up[u] = u = up[up[u]]
+                ranked &= labels[u] < labels[v]
+                up[u] = v
+                kids.append(u)
+        kids.sort(key=low.__getitem__)
+        low[v] = min(v, low[kids[0]]) if kids else v
+    if sum(map(len, children.values())) != len(order) - 1:
+        raise NotConnected(f"vertex set of size {len(order)} is not connected")
+    return (order[-1], children) if ranked else None
+
+
 def is_valid_ranking(inst: TreeInstance, labels: Mapping[int, int], within=None) -> bool:
-    """Direct check of the ranking property on every equal-label pair."""
-    verts = sorted(inst.subset(within))
-    if not verts:
-        raise NotConnected("empty vertex set")
-    order, parent = rooted_order(inst, verts, verts[0])
-    depth = {order[0]: 0}
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-
-    def path_between(u: int, v: int) -> list[int]:
-        ups, vps = [], []
-        while u != v:
-            if depth[u] >= depth[v]:
-                ups.append(u)
-                u = parent[u]
-            else:
-                vps.append(v)
-                v = parent[v]
-        full = ups + [u] + vps[::-1]
-        return full[1:-1]
-
-    by_label: dict[int, list[int]] = {}
-    for v in verts:
-        by_label.setdefault(labels[v], []).append(v)
-    for lbl, vs in by_label.items():
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                between = path_between(vs[i], vs[j])
-                if not any(labels[z] > lbl for z in between):
-                    return False
-    return True
+    """Whether ``labels`` rank the connected set ``within`` (every vertex labelled)."""
+    return _elimination_tree(inst, labels, within) is not None
 
 
 def ranking_based_dt(inst: TreeInstance, within=None) -> DecisionTree:
@@ -107,20 +113,7 @@ def ranking_based_dt(inst: TreeInstance, within=None) -> DecisionTree:
     whenever all costs are equal.
     """
     verts = inst.subset(within)
-    ranking = vertex_ranking(inst, within=verts)
-    labels = ranking.labels
-    children: dict[int, tuple[int, ...]] = {}
-
-    def build(piece: frozenset[int]) -> int:
-        top_label = max(labels[v] for v in piece)
-        tops = [v for v in piece if labels[v] == top_label]
-        if len(tops) != 1:
-            raise InvalidDecisionTree(f"top label {top_label} is held by {len(tops)} vertices")
-        top = tops[0]
-        kids = tuple(build(comp) for comp in split_components(inst, piece, top))
-        if kids:
-            children[top] = kids
-        return top
-
-    root = build(verts)
-    return DecisionTree(root, children)
+    tree = _elimination_tree(inst, vertex_ranking(inst, within=verts).labels, verts)
+    if tree is None:
+        raise InvalidDecisionTree("the labels are not a vertex ranking")
+    return DecisionTree(*tree)

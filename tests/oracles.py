@@ -11,26 +11,42 @@ scan per distinct cost, comparing rational costs directly) and
 maps and splits the whole tree on every call), and
 ``reference_validate_decision_tree`` / ``reference_evaluate_cost`` (the
 strategy check that re-runs the search, splitting each query's candidate
-set, and the cost walk over ``Fraction`` path sums).
+set, and the cost walk over ``Fraction`` path sums), and
+``reference_vertex_ranking`` / ``reference_is_valid_ranking`` /
+``reference_ranking_based_dt`` (visible label sets as frozensets, a path
+walk between every pair of equal labels, and the strategy built by
+re-splitting every piece below its top-labelled vertex).
 """
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Mapping
 
 from treesearch import DecisionTree, SolveLimits, split_components, tree_instance
-from treesearch.core import TreeInstance
+from treesearch.core import TreeInstance, rooted_order
 from treesearch.errors import (
     BranchOccupied,
     ComponentMismatch,
     DuplicateVertex,
+    InvalidDecisionTree,
     MissingVertex,
     NoNeighborQueried,
     NotAPath,
     NotConnected,
     QueryOutsideCandidate,
     StateLimitExceeded,
+    TreeSearchError,
 )
+from treesearch.ranking import Ranking
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the class of the package error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except TreeSearchError as exc:
+        return type(exc)
 
 
 def enumerate_strategies(inst, cand=None):
@@ -467,3 +483,97 @@ def reference_evaluate_cost(inst: TreeInstance, d: DecisionTree, within=None) ->
         for child in d.child_list(v):
             stack.append((child, acc))
     return best
+
+
+def reference_vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
+    """Compute a minimum vertex ranking of a connected vertex set.
+
+    Deterministic for fixed input; the maximum label never exceeds
+    ``floor(log2 m) + 1`` where ``m`` is the size of the set.
+    """
+    verts = inst.subset(within)
+    if not verts:
+        raise NotConnected("empty vertex set")
+    order, parent = rooted_order(inst, verts, min(verts))
+
+    children: dict[int, list[int]] = {v: [] for v in verts}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+
+    labels: dict[int, int] = {}
+    visible: dict[int, frozenset[int]] = {}
+    for v in reversed(order):
+        counts: dict[int, int] = {}
+        for child in children[v]:
+            for lbl in visible[child]:
+                counts[lbl] = counts.get(lbl, 0) + 1
+        dup_max = max((lbl for lbl, cnt in counts.items() if cnt > 1), default=0)
+        lbl = max(1, dup_max)
+        while lbl in counts:
+            lbl += 1
+        labels[v] = lbl
+        visible[v] = frozenset({lbl} | {l for l in counts if l > lbl})
+
+    return Ranking(labels, max(labels.values()))
+
+
+def reference_is_valid_ranking(inst: TreeInstance, labels: Mapping[int, int], within=None) -> bool:
+    """Direct check of the ranking property on every equal-label pair."""
+    verts = sorted(inst.subset(within))
+    if not verts:
+        raise NotConnected("empty vertex set")
+    order, parent = rooted_order(inst, verts, verts[0])
+    depth = {order[0]: 0}
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+
+    def path_between(u: int, v: int) -> list[int]:
+        ups, vps = [], []
+        while u != v:
+            if depth[u] >= depth[v]:
+                ups.append(u)
+                u = parent[u]
+            else:
+                vps.append(v)
+                v = parent[v]
+        full = ups + [u] + vps[::-1]
+        return full[1:-1]
+
+    by_label: dict[int, list[int]] = {}
+    for v in verts:
+        by_label.setdefault(labels[v], []).append(v)
+    for lbl, vs in by_label.items():
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                between = path_between(vs[i], vs[j])
+                if not any(labels[z] > lbl for z in between):
+                    return False
+    return True
+
+
+def reference_ranking_based_dt(inst: TreeInstance, within=None) -> DecisionTree:
+    """Strategy tree induced by a minimum ranking of a connected vertex set.
+
+    The root of every piece is its unique top-labelled vertex; the
+    children recurse on the components left after removing it.  Depth is
+    at most ``floor(log2 m) + 1``, and the result is an optimal strategy
+    whenever all costs are equal.
+    """
+    verts = inst.subset(within)
+    ranking = reference_vertex_ranking(inst, within=verts)
+    labels = ranking.labels
+    children: dict[int, tuple[int, ...]] = {}
+
+    def build(piece: frozenset[int]) -> int:
+        top_label = max(labels[v] for v in piece)
+        tops = [v for v in piece if labels[v] == top_label]
+        if len(tops) != 1:
+            raise InvalidDecisionTree(f"top label {top_label} is held by {len(tops)} vertices")
+        top = tops[0]
+        kids = tuple(build(comp) for comp in split_components(inst, piece, top))
+        if kids:
+            children[top] = kids
+        return top
+
+    root = build(verts)
+    return DecisionTree(root, children)

@@ -19,3 +19,18 @@ def tree_instances(draw, min_n=1, max_n=20, uniform=False, cost_steps=12):
             Fraction(draw(st.integers(1, cost_steps)), cost_steps) for _ in range(n)
         ]
     return tree_instance(n, edges, costs)
+
+
+@st.composite
+def shuffled_tree_instances(draw, **kwargs):
+    """``tree_instances`` with the vertex ids permuted.
+
+    Random attachment numbers every path away from vertex 1 in increasing
+    order; shuffling breaks that, so id-order effects show up.
+    """
+    inst = draw(tree_instances(**kwargs))
+    new_id = [0] + draw(st.permutations(range(1, inst.n + 1)))
+    costs = [None] * inst.n
+    for v in range(1, inst.n + 1):
+        costs[new_id[v] - 1] = inst.cost(v)
+    return tree_instance(inst.n, [(new_id[u], new_id[v]) for u, v in inst.edges], costs)

@@ -133,6 +133,14 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "max_states" in proc.stderr
 
+    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    def test_gen_bad_eps_is_1(self, eps):
+        proc = run_process(["gen", "--shape", "path", "--cost-model", "alternating",
+                            "--n", "5", "--eps", eps])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr and "eps" in proc.stderr
+
     def test_bench_empty_size_range_is_1(self):
         proc = run_process(["bench", "--count", "1", "--n-min", "9", "--n-max", "3"])
         assert proc.returncode == 1

@@ -37,7 +37,6 @@ from treesearch.errors import (
     NotATree,
     NotConnected,
     QueryOutsideCandidate,
-    TreeSearchError,
     UnknownVertex,
     VertexNotInCandidate,
 )
@@ -422,13 +421,6 @@ def _draw_strategy(inst, universe, data):
     return DecisionTree(root, children)
 
 
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except TreeSearchError as exc:
-        return type(exc)
-
-
 def _mismatched(inst, d, universe, q):
     """Whether the children of query ``q`` differ from its response components."""
 
@@ -457,9 +449,9 @@ class TestStrategyCheckAgainstReference:
             )
         d = _draw_strategy(inst, universe, data)
 
-        expected = _outcome(oracles.reference_validate_decision_tree, inst, d, within=within)
-        assert _outcome(validate_decision_tree, inst, d, within=within) == expected
-        assert _outcome(evaluate_cost, inst, d, within=within) == _outcome(
+        expected = oracles.outcome(oracles.reference_validate_decision_tree, inst, d, within=within)
+        assert oracles.outcome(validate_decision_tree, inst, d, within=within) == expected
+        assert oracles.outcome(evaluate_cost, inst, d, within=within) == oracles.outcome(
             oracles.reference_evaluate_cost, inst, d, within=within
         )
         if expected is ComponentMismatch:

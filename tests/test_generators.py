@@ -79,6 +79,15 @@ class TestCostModels:
         with pytest.raises(InvalidParameters):
             generate_instance("path", "alternating", 5, seed=0)
 
+    @pytest.mark.parametrize("eps", ["abc", "1/0", pytest.param(object(), id="object")])
+    def test_alternating_rejects_non_rational_eps(self, eps):
+        with pytest.raises(InvalidParameters, match="not a rational"):
+            generate_instance("path", "alternating", 5, seed=0, eps=eps)
+
+    def test_alternating_accepts_eps_string(self):
+        as_string = generate_instance("path", "alternating", 5, seed=0, eps="1/8")
+        assert as_string == generate_instance("path", "alternating", 5, seed=0, eps=Fraction(1, 8))
+
     def test_random_costs_in_unit_range(self):
         inst = generate_instance("random-tree", "random", 30, seed=3)
         assert all(0 < c <= 1 for c in inst.costs)

@@ -1,11 +1,17 @@
 """Vertex ranking: validity, minimality, and the induced strategy."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treesearch
 from treesearch import (
     evaluate_cost,
     is_valid_ranking,
@@ -15,11 +21,15 @@ from treesearch import (
     validate_decision_tree,
     vertex_ranking,
 )
-from treesearch.errors import InvalidDecisionTree, NotConnected
+from treesearch.errors import (
+    InvalidDecisionTree,
+    InvalidParameters,
+    NotConnected,
+)
 from treesearch.ranking import Ranking
 
 import oracles
-from strategies import tree_instances
+from strategies import shuffled_tree_instances, tree_instances
 
 
 def uniform_path(n):
@@ -87,6 +97,28 @@ class TestVertexRanking:
         with pytest.raises(NotConnected):
             is_valid_ranking(uniform_path(3), {}, within=set())
 
+    def test_unlabelled_vertices_rejected(self):
+        with pytest.raises(InvalidParameters, match=r"\[2, 3\]"):
+            is_valid_ranking(uniform_path(3), {1: 1})
+
+    def test_disconnected_within_wins_over_invalid_labels(self):
+        # {1, 2} alone already breaks the ranking; the check still reports
+        # the disconnected set rather than stopping at the first clash.
+        labels = {v: 1 for v in range(1, 6)}
+        with pytest.raises(NotConnected):
+            is_valid_ranking(uniform_path(5), labels, within={1, 2, 4, 5})
+
+    def test_long_path_checked_quickly(self):
+        # A pairwise path walk between equal labels takes minutes here.
+        code = (
+            "from treesearch import is_valid_ranking, tree_instance, vertex_ranking\n"
+            "n = 20000\n"
+            "inst = tree_instance(n, [(i, i + 1) for i in range(1, n)], [1] * n)\n"
+            "assert is_valid_ranking(inst, vertex_ranking(inst).labels)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(treesearch.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=20)
+
 
 class TestRankingBasedDT:
     def test_path7_depth_and_cost(self):
@@ -146,3 +178,67 @@ class TestRankingBasedDT:
         d = ranking_based_dt(inst, within=sub)
         validate_decision_tree(inst, d, within=sub)
         assert d.vertex_set == sub
+
+
+@st.composite
+def within_sets(draw, inst, kinds=("all", "connected", "any", "empty")):
+    """``None``, a connected subset, an arbitrary (often disconnected) one, or empty."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "all":
+        return None
+    if kind == "empty":
+        return frozenset()
+    if kind == "any":
+        return frozenset(draw(st.sets(st.integers(1, inst.n), min_size=1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return oracles.random_connected_subset(inst, rng.randint(1, inst.n), rng)
+
+
+@st.composite
+def labelings(draw, inst):
+    """Labels for every vertex: random, or a minimum ranking with one label changed."""
+    top = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        drawn = draw(st.lists(st.integers(1, top), min_size=inst.n, max_size=inst.n))
+        return dict(enumerate(drawn, 1))
+    labels = dict(vertex_ranking(inst).labels)
+    labels[draw(st.integers(1, inst.n))] = draw(st.integers(1, top))
+    return labels
+
+
+class TestRankingAgainstReference:
+    """The union-find sweep against the split recursion and the pairwise path check."""
+
+    @given(shuffled_tree_instances(max_n=40), st.data())
+    @settings(max_examples=300)
+    def test_rankings_and_strategies(self, inst, data):
+        within = data.draw(within_sets(inst))
+        for fast, slow in [
+            (vertex_ranking, oracles.reference_vertex_ranking),
+            (ranking_based_dt, oracles.reference_ranking_based_dt),
+        ]:
+            assert oracles.outcome(fast, inst, within) == oracles.outcome(slow, inst, within)
+
+    @given(shuffled_tree_instances(max_n=40), st.data())
+    @settings(max_examples=400)
+    def test_validity(self, inst, data):
+        within = data.draw(within_sets(inst))
+        labels = data.draw(labelings(inst))
+        assert oracles.outcome(is_valid_ranking, inst, labels, within) == oracles.outcome(
+            oracles.reference_is_valid_ranking, inst, labels, within
+        )
+
+    @given(shuffled_tree_instances(max_n=30), st.data())
+    @settings(max_examples=300)
+    def test_strategies_of_forced_labelings(self, inst, data):
+        # The split recursion never checks connectivity, so forced labels
+        # are compared on connected sets only.
+        within = data.draw(within_sets(inst, kinds=("all", "connected")))
+        labels = data.draw(labelings(inst))
+        forced = Ranking(labels, max(labels.values()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("treesearch.ranking.vertex_ranking", lambda inst, within: forced)
+            patch.setattr(oracles, "reference_vertex_ranking", lambda inst, within: forced)
+            assert oracles.outcome(ranking_based_dt, inst, within) == oracles.outcome(
+                oracles.reference_ranking_based_dt, inst, within
+            )
