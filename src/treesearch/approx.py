@@ -1,10 +1,11 @@
 """Recursive strategy construction by doubling cost levels.
 
-Costs are normalized to ``(0, 1]`` and partitioned into half-open
-intervals: ``(0, b0]`` with ``b0`` just below ``1/log2(n)``, then each
-interval doubling its upper end until 1 is reached.  Working from the top
-interval down, a call on a connected region with interval ``(a, b]``
-schedules all queries to vertices costing more than ``a``:
+Costs relative to the maximum cost ``M`` lie in ``(0, 1]``, which is
+partitioned into half-open intervals: ``(0, b0]`` with ``b0`` just below
+``1/log2(n)``, then each interval doubling its upper end until 1 is
+reached.  Working from the top interval down, a call on a connected
+region with interval ``(a, b]`` schedules all queries to vertices costing
+more than ``a * M``:
 
 * If the region is entirely above ``a`` (or the bottom interval is
   reached) the uniform-cost ranking strategy is good enough.
@@ -22,14 +23,23 @@ The number of intervals is ``O(log log n)``, and each level of the
 recursion adds only a constant multiple of the optimum to the cost, which
 is what makes the final strategy competitive.
 
-Interval endpoints are binary64 floats.  Costs are compared against them
-through integer cutoffs on the instance's integer weights
-(:meth:`TreeInstance.cutoff`), which is exact and never builds a
-``Fraction``.  Each level call grows one mutable strategy (child lists
-plus parent and depth maps) and grafts into it in time proportional to
-the grafted region, the grafted strategy and the strategy's depth: the
-response branch holding a region is found by interval tests on a
-preorder numbering of the instance, cached once per instance.
+Interval endpoints are binary64 floats.  The build works on the
+caller's instance, with no normalized copy: level ``(a, b]`` compares
+costs against the exact threshold ``Fraction(a) * M`` through one
+integer cutoff on the instance's integer weights
+(:meth:`TreeInstance.cutoff`), and the auxiliary instances carry the
+original costs.  This is exact, and it gives the strategies a normalized
+instance would: separators and modules depend only on which costs exceed
+a threshold and on their order, the ranking ignores costs, and the exact
+solver only adds and compares weights, which a positive scale preserves.
+
+The whole build grows one mutable strategy (child lists plus parent and
+depth maps): each auxiliary strategy, ranking and lower-level strategy is
+grafted into it where it belongs, in time proportional to the grafted
+region, the grafted strategy and the strategy's depth, so no vertex is
+copied more than once.  The response branch holding a region is found by
+interval tests on a preorder numbering of the instance, cached once per
+instance.
 """
 
 from __future__ import annotations
@@ -44,7 +54,6 @@ from .core import (
     DecisionTree,
     TreeInstance,
     induced_components,
-    normalize,
     rooted_order,
     tree_instance,
     validate_decision_tree,
@@ -260,17 +269,17 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
 class _Strategy:
     """A strategy under construction: child lists plus parent and depth maps.
 
-    ``parent[root]`` is 0, which is no vertex; ``depth[root]`` is 0.
+    It starts empty (``root`` 0); ``parent[root]`` is 0, which is no
+    vertex, and ``depth[root]`` is 0.
     """
 
     __slots__ = ("root", "children", "parent", "depth")
 
-    def __init__(self, d: DecisionTree):
-        self.root = d.root
+    def __init__(self):
+        self.root = 0
         self.children: dict[int, list[int]] = {}
         self.parent: dict[int, int] = {}
         self.depth: dict[int, int] = {}
-        self._copy(d, 0)
 
     def _copy(self, d: DecisionTree, above: int) -> None:
         """Copy the strategy ``d`` in, its root below query ``above`` (0: none)."""
@@ -278,8 +287,9 @@ class _Strategy:
         parent[d.root] = above
         depth[d.root] = depth[above] + 1 if above else 0
         queue = [d.root]
+        kids_of = d.children.get
         for q in queue:
-            kids = d.child_list(q)
+            kids = kids_of(q)
             if kids:
                 children[q] = list(kids)
                 below = depth[q] + 1
@@ -289,8 +299,11 @@ class _Strategy:
                 queue.extend(kids)
 
     def attach(self, q: int, d: DecisionTree) -> None:
-        """Add the strategy ``d`` as the last child of query ``q``."""
-        self.children.setdefault(q, []).append(d.root)
+        """Add the strategy ``d`` as the last child of query ``q`` (0: as the root)."""
+        if q:
+            self.children.setdefault(q, []).append(d.root)
+        else:
+            self.root = d.root
         self._copy(d, q)
 
     def tree(self) -> DecisionTree:
@@ -300,14 +313,18 @@ class _Strategy:
 def _graft(strategy: _Strategy, inst: TreeInstance, region, sub_dt: DecisionTree) -> None:
     """Attach ``sub_dt`` to ``strategy`` as :func:`attach_subtree` describes.
 
-    Costs O(|region| + |sub_dt| + depth of the strategy) plus the degrees
-    of the region's vertices; nothing is scanned per strategy vertex.
+    Into an empty strategy, ``sub_dt`` goes in as the root.  Costs
+    O(|region| + |sub_dt| + depth of the strategy) plus the degrees of the
+    region's vertices; nothing is scanned per strategy vertex.
     """
     region = frozenset(region)
     outside = sub_dt.vertex_set - region
     if outside:
         raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
     depth = strategy.depth
+    if not depth:
+        strategy.attach(0, sub_dt)
+        return
     overlap = [v for v in region if v in depth]
     if overlap:
         raise DuplicateVertex(f"region holds queried vertices {sorted(overlap)}")
@@ -366,7 +383,8 @@ def attach_subtree(
     holding queried vertices :class:`DuplicateVertex`, and a region not
     inside one response branch :class:`NotConnected`.
     """
-    strategy = _Strategy(d)
+    strategy = _Strategy()
+    strategy.attach(0, d)
     _graft(strategy, inst, region, sub_dt)
     return strategy.tree()
 
@@ -379,46 +397,49 @@ def create_decision_tree(
     Returns the validated strategy together with run statistics: the
     recursion depth ``depth_d`` (number of level descents on the deepest
     branch that did real work) and one :class:`LevelRecord` per separator
-    construction.  Exact auxiliary solves share the given ``limits``.
+    construction, whose ``lower``/``upper`` are the interval ends relative
+    to the maximum cost.  Exact auxiliary solves share the given ``limits``.
     """
-    norm, _scale = normalize(inst)
-    n = norm.n
+    n = inst.n
     if n == 1:
         return DecisionTree(1, {}), ApproxStats(0, None, ())
 
     schedule = cost_levels(n)
     records: list[LevelRecord] = []
+    thresholds = [Fraction(a) * inst.max_cost for a, _b in schedule.levels]
+    weights = inst.weights
+    strategy = _Strategy()
 
-    weights = norm.weights
-
-    def recurse(region: frozenset[int], level: int) -> tuple[DecisionTree, int]:
-        a, _b = schedule.levels[level]
-        cut = norm.cutoff(a)
+    def recurse(region: frozenset[int], level: int) -> int:
+        """Graft a strategy for ``region`` into ``strategy``; return its depth."""
+        threshold = thresholds[level]
+        cut = inst.cutoff(threshold)
         heavy = sum(1 for v in region if weights[v] > cut)
         if level == 0 or heavy == len(region):
-            return ranking_based_dt(norm, within=region), 0
+            _graft(strategy, inst, region, ranking_based_dt(inst, within=region))
+            return 0
         if not heavy:
             return recurse(region, level - 1)
 
-        seps = separator_sets(norm, region, a)
-        aux = auxiliary_tree(norm, seps.separators)
+        seps = separator_sets(inst, region, threshold)
+        aux = auxiliary_tree(inst, seps.separators)
         _cost_z, aux_dt = opt_exact(aux.instance, limits=limits)
         back = aux.vertices
-        strategy = _Strategy(
-            DecisionTree(
-                back[aux_dt.root - 1],
-                {back[q - 1]: [back[c - 1] for c in kids] for q, kids in aux_dt.children.items()},
-            )
+        aux_dt = DecisionTree(
+            back[aux_dt.root - 1],
+            {back[q - 1]: [back[c - 1] for c in kids] for q, kids in aux_dt.children.items()},
         )
+        _graft(strategy, inst, region, aux_dt)
 
-        comps = induced_components(norm, region - seps.separators)
-        comp_modules = [heavy_modules(norm, a, within=comp).modules for comp in comps]
-        k_region, _witness = k_up_modularity(norm, within=region)
+        comps = induced_components(inst, region - seps.separators)
+        comp_modules = [heavy_modules(inst, threshold, within=comp).modules for comp in comps]
+        k_region, _witness = k_up_modularity(inst, within=region)
+        a, b = schedule.levels[level]
         records.append(
             LevelRecord(
                 level=level,
                 lower=a,
-                upper=_b,
+                upper=b,
                 region_size=len(region),
                 module_count=len(seps.reps),
                 k_region=k_region,
@@ -428,22 +449,23 @@ def create_decision_tree(
             )
         )
 
+        # Every part touches a query of this level, which lies below the
+        # queries around ``region``, so each graft hooks on inside ``region``.
         depth = 0
         for comp, modules in zip(comps, comp_modules):
             if len(modules) > 1:
                 raise TreeSearchError(f"separator left {len(modules)} heavy modules together")
             if modules:
                 module = modules[0]
-                _graft(strategy, norm, comp, ranking_based_dt(norm, within=module))
-                light_parts = induced_components(norm, comp - module)
+                _graft(strategy, inst, comp, ranking_based_dt(inst, within=module))
+                light_parts = induced_components(inst, comp - module)
             else:
                 light_parts = [comp]
             for part in light_parts:
-                part_dt, part_depth = recurse(part, level - 1)
-                _graft(strategy, norm, part, part_dt)
-                depth = max(depth, part_depth)
-        return strategy.tree(), depth + 1
+                depth = max(depth, recurse(part, level - 1))
+        return depth + 1
 
-    dtree, depth_d = recurse(norm.vertex_set, schedule.count - 1)
-    validate_decision_tree(norm, dtree)
+    depth_d = recurse(inst.vertex_set, schedule.count - 1)
+    dtree = strategy.tree()
+    validate_decision_tree(inst, dtree)
     return dtree, ApproxStats(depth_d, schedule, tuple(records))

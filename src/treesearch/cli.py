@@ -21,8 +21,8 @@ from .modularity import is_up_monotonic, k_up_modularity
 from .ranking import ranking_based_dt, vertex_ranking
 from .serialize import (
     export_dot,
+    load_decision_tree,
     load_instance,
-    parse_decision_tree,
     serialize_decision_tree,
     serialize_instance,
 )
@@ -34,11 +34,6 @@ def _write(args, text: str) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_tree(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_decision_tree(handle.read())
 
 
 def _emit_json(args, doc) -> None:
@@ -82,7 +77,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_eval(args) -> int:
     inst = load_instance(args.input)
-    dtree = _load_tree(args.tree)
+    dtree = load_decision_tree(args.tree)
     cost = evaluate_cost(inst, dtree)
     _emit_json(args, {"cost": str(cost)})
     return 0
@@ -141,7 +136,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     inst = load_instance(args.input)
-    strategy = _load_tree(args.tree) if args.tree else None
+    strategy = load_decision_tree(args.tree) if args.tree else None
     if strategy is not None:
         validate_decision_tree(inst, strategy)
     _write(args, export_dot(inst=inst, strategy=strategy))
@@ -150,7 +145,7 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_trace(args) -> int:
     inst = load_instance(args.input)
-    dtree = _load_tree(args.tree)
+    dtree = load_decision_tree(args.tree)
     validate_decision_tree(inst, dtree)
     seq = query_sequence(inst, dtree, args.target)
     _emit_json(args, {"queries": list(seq.vertices), "cost": str(seq.total_cost)})

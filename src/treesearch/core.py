@@ -20,10 +20,17 @@ the instance edges, and every ``within`` argument is resolved by
 :meth:`TreeInstance.subset`.
 
 All cost arithmetic is exact.  Costs are `fractions.Fraction` at the API
-boundary; inside, each instance carries them once as integers over their
-common denominator (:attr:`TreeInstance.weights`), and a threshold is
-turned into one integer :meth:`TreeInstance.cutoff`, so inner loops
-compare machine integers.  Every value here is immutable after
+boundary: :func:`tree_instance` takes anything ``Fraction`` accepts (an
+int, a ``Fraction``, or a string such as "2/5", "0.25" or "3e-2"; a
+``Fraction`` is kept as it is, anything else is converted once).  String
+costs reach ``Fraction`` unchecked here, so a huge exponent such as
+"1e999999999" takes as long as building its power of ten;
+``serialize.parse_instance`` rejects exponents past the interpreter's
+digit limit before converting.  Inside, each instance carries its costs
+once as integers over their common denominator
+(:attr:`TreeInstance.weights`), and a threshold is turned into one
+integer :meth:`TreeInstance.cutoff`, so inner loops compare machine
+integers.  Every value here is immutable after
 construction and every operation is a pure function, so everything is
 safe to share across threads.
 """
@@ -82,7 +89,7 @@ class TreeInstance:
 
     @cached_property
     def max_cost(self) -> Fraction:
-        return max(self.costs)
+        return Fraction(max(self.weights), self.denominator)
 
     @cached_property
     def denominator(self) -> int:
@@ -222,7 +229,7 @@ def validate_instance(raw: TreeInstance) -> TreeInstance:
             raise NotATree(f"edge ({u}, {v}) references a vertex outside 1..{n}")
         if u == v:
             raise NotATree(f"self-loop at vertex {u}")
-        edges.append((min(u, v), max(u, v)))
+        edges.append((u, v) if u < v else (v, u))
     edges.sort()
 
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
@@ -245,8 +252,9 @@ def validate_instance(raw: TreeInstance) -> TreeInstance:
 
     costs = []
     for i, c in enumerate(raw.costs):
-        c = Fraction(c)
-        if c <= 0:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c.numerator <= 0:
             raise NonPositiveCost(i + 1, c)
         costs.append(c)
 

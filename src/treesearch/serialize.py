@@ -2,40 +2,80 @@
 
 Instance document: ``{"n": int, "edges": [[u, v], ...], "costs": [...]}``
 with 1-based vertex ids and ``costs[i]`` belonging to vertex ``i + 1``.
-Costs are written as exact rational strings ("2/5", "1"); integers are
-accepted on input.  Strategy document: ``{"root": int, "children":
-{"<id>": [ids...]}}``.  Serialization is canonical, so equal values
-produce byte-identical text.
+Costs are written as exact rational strings ("2/5", "1").  On input a
+cost is a JSON integer or a string that :class:`fractions.Fraction`
+accepts: an integer, ``p/q``, or a decimal with an optional exponent
+("0.25", "3e-2").  A decimal exponent whose magnitude exceeds
+:func:`sys.get_int_max_str_digits` is rejected, since building its power
+of ten would not finish, and so is a cost whose numerator or denominator
+has more digits than that limit, since it could not be printed.  Each
+distinct cost token is converted once per document.
+
+Strategy document: ``{"root": int, "children": {"<id>": [ids...]}}``.
+Serialization is canonical, so equal values produce byte-identical
+text: the text ``json.dumps(doc, indent=2)`` gives, written directly.
+Every malformed document, including text that is not UTF-8, nesting too
+deep for the JSON decoder and JSON numbers past the interpreter's digit
+limit, raises :class:`ParseError`.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
-from .core import DecisionTree, TreeInstance, tree_instance
+from .core import DecisionTree, TreeInstance, validate_instance
 from .errors import ParseError
 
+# The exponent of a decimal cost, where ``Fraction`` would look for it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
-def _parse_cost(token, position: int) -> Fraction:
-    if isinstance(token, bool):
-        raise ParseError(f"cost #{position} must be a rational string or integer")
-    if isinstance(token, int):
+
+def _parse_cost(token: int | str, position: int) -> Fraction:
+    """One cost token (a JSON integer or string) as a ``Fraction``."""
+    if type(token) is int:
         return Fraction(token)
-    if isinstance(token, str):
+    try:
+        # Plain "digits" and "digits/digits" skip Fraction's regex.
+        num, slash, den = token.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den) if slash else 1)
+        # Past the interpreter's digit limit a power of ten takes too long
+        # to build, and a value too long to print could not be written back.
+        limit = sys.get_int_max_str_digits()
+        exponent = _EXPONENT.search(token)
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ParseError(f"cost #{position} has an exponent beyond {limit}: {token[:40]!r}")
+        cost = Fraction(token)
+        if limit and max(abs(cost.numerator), cost.denominator) >= 10**limit:
+            raise ParseError(f"cost #{position} has more than {limit} digits: {token[:40]!r}")
+        return cost
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cost #{position} is not a rational: {token[:80]!r}") from exc
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
         try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cost #{position} is not a rational: {token!r}") from exc
-    raise ParseError(f"cost #{position} must be a rational string or integer")
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def parse_instance(text: str) -> TreeInstance:
     """Parse and validate an instance document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     try:
@@ -44,22 +84,34 @@ def parse_instance(text: str) -> TreeInstance:
         costs = doc["costs"]
     except KeyError as exc:
         raise ParseError(f"instance document is missing key {exc}") from exc
-    if not isinstance(n, int) or isinstance(n, bool):
+    if type(n) is not int:
         raise ParseError('"n" must be an integer')
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
-        for e in edges
-    ):
+    if not isinstance(edges, list):
         raise ParseError('"edges" must be a list of [u, v] integer pairs')
+    pairs = []
+    for edge in edges:
+        if not (
+            type(edge) is list and len(edge) == 2
+            and type(edge[0]) is int and type(edge[1]) is int
+        ):
+            raise ParseError('"edges" must be a list of [u, v] integer pairs')
+        pairs.append((edge[0], edge[1]))
     if not isinstance(costs, list):
         raise ParseError('"costs" must be a list')
-    parsed_costs = [_parse_cost(c, i + 1) for i, c in enumerate(costs)]
-    return tree_instance(n, edges, parsed_costs)
+    parsed = []
+    memo: dict[int | str, Fraction] = {}  # keyed by exact type only: True == 1 == 1.0
+    for position, token in enumerate(costs, 1):
+        if type(token) is not int and type(token) is not str:
+            raise ParseError(f"cost #{position} must be a rational string or integer")
+        cost = memo.get(token)
+        if cost is None:
+            cost = memo[token] = _parse_cost(token, position)
+        parsed.append(cost)
+    return validate_instance(TreeInstance(n, tuple(pairs), tuple(parsed)))
 
 
 def load_instance(path) -> TreeInstance:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+    return parse_instance(_read_text(path))
 
 
 def serialize_instance(inst: TreeInstance) -> str:
@@ -73,10 +125,7 @@ def serialize_instance(inst: TreeInstance) -> str:
 
 def parse_decision_tree(text: str) -> DecisionTree:
     """Parse a strategy document (no instance-level validation)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("strategy document must be a JSON object")
     try:
@@ -102,12 +151,19 @@ def parse_decision_tree(text: str) -> DecisionTree:
     return DecisionTree(root, parsed)
 
 
+def load_decision_tree(path) -> DecisionTree:
+    return parse_decision_tree(_read_text(path))
+
+
 def serialize_decision_tree(d: DecisionTree) -> str:
-    doc = {
-        "root": d.root,
-        "children": {str(q): list(d.children[q]) for q in sorted(d.children)},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The strategy document as ``json.dumps(doc, indent=2) + "\\n"`` writes it."""
+    if not d.children:
+        return f'{{\n  "root": {d.root},\n  "children": {{}}\n}}\n'
+    entries = ",\n".join(
+        f'    "{q}": [\n      ' + ",\n      ".join(map(str, d.children[q])) + "\n    ]"
+        for q in sorted(d.children)
+    )
+    return f'{{\n  "root": {d.root},\n  "children": {{\n{entries}\n  }}\n}}\n'
 
 
 def export_dot(inst: TreeInstance | None = None, strategy: DecisionTree | None = None) -> str:

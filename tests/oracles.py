@@ -15,7 +15,12 @@ set, and the cost walk over ``Fraction`` path sums), and
 ``reference_vertex_ranking`` / ``reference_is_valid_ranking`` /
 ``reference_ranking_based_dt`` (visible label sets as frozensets, a path
 walk between every pair of equal labels, and the strategy built by
-re-splitting every piece below its top-labelled vertex).
+re-splitting every piece below its top-labelled vertex), and
+``reference_parse_cost`` (every cost token through ``Fraction``, with no
+memo, fast path or exponent limit) and ``reference_create_decision_tree``
+(the build on a normalized copy of the instance, each level call
+returning its own strategy for the level above to graft, here through
+``reference_attach_subtree``).
 """
 
 import itertools
@@ -24,7 +29,20 @@ from fractions import Fraction
 from typing import Mapping
 
 from treesearch import DecisionTree, SolveLimits, split_components, tree_instance
-from treesearch.core import TreeInstance, rooted_order
+from treesearch.approx import (
+    ApproxStats,
+    LevelRecord,
+    auxiliary_tree,
+    cost_levels,
+    separator_sets,
+)
+from treesearch.core import (
+    TreeInstance,
+    induced_components,
+    normalize,
+    rooted_order,
+    validate_decision_tree,
+)
 from treesearch.errors import (
     BranchOccupied,
     ComponentMismatch,
@@ -34,11 +52,14 @@ from treesearch.errors import (
     NoNeighborQueried,
     NotAPath,
     NotConnected,
+    ParseError,
     QueryOutsideCandidate,
     StateLimitExceeded,
     TreeSearchError,
 )
-from treesearch.ranking import Ranking
+from treesearch.exact import opt_exact
+from treesearch.modularity import heavy_modules, k_up_modularity
+from treesearch.ranking import Ranking, ranking_based_dt
 
 
 def outcome(fn, *args, **kwargs):
@@ -577,3 +598,94 @@ def reference_ranking_based_dt(inst: TreeInstance, within=None) -> DecisionTree:
 
     root = build(verts)
     return DecisionTree(root, children)
+
+
+def reference_parse_cost(token, position: int) -> Fraction:
+    if isinstance(token, bool):
+        raise ParseError(f"cost #{position} must be a rational string or integer")
+    if isinstance(token, int):
+        return Fraction(token)
+    if isinstance(token, str):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"cost #{position} is not a rational: {token!r}") from exc
+    raise ParseError(f"cost #{position} must be a rational string or integer")
+
+
+def reference_create_decision_tree(
+    inst: TreeInstance, limits: SolveLimits | None = None
+) -> tuple[DecisionTree, ApproxStats]:
+    """Build a full strategy via the doubling-level recursion.
+
+    Returns the validated strategy together with run statistics: the
+    recursion depth ``depth_d`` (number of level descents on the deepest
+    branch that did real work) and one :class:`LevelRecord` per separator
+    construction.  Exact auxiliary solves share the given ``limits``.
+    """
+    norm, _scale = normalize(inst)
+    n = norm.n
+    if n == 1:
+        return DecisionTree(1, {}), ApproxStats(0, None, ())
+
+    schedule = cost_levels(n)
+    records: list[LevelRecord] = []
+
+    weights = norm.weights
+
+    def recurse(region: frozenset[int], level: int) -> tuple[DecisionTree, int]:
+        a, _b = schedule.levels[level]
+        cut = norm.cutoff(a)
+        heavy = sum(1 for v in region if weights[v] > cut)
+        if level == 0 or heavy == len(region):
+            return ranking_based_dt(norm, within=region), 0
+        if not heavy:
+            return recurse(region, level - 1)
+
+        seps = separator_sets(norm, region, a)
+        aux = auxiliary_tree(norm, seps.separators)
+        _cost_z, aux_dt = opt_exact(aux.instance, limits=limits)
+        back = aux.vertices
+        strategy = DecisionTree(
+            back[aux_dt.root - 1],
+            {back[q - 1]: [back[c - 1] for c in kids] for q, kids in aux_dt.children.items()},
+        )
+
+        comps = induced_components(norm, region - seps.separators)
+        comp_modules = [heavy_modules(norm, a, within=comp).modules for comp in comps]
+        k_region, _witness = k_up_modularity(norm, within=region)
+        records.append(
+            LevelRecord(
+                level=level,
+                lower=a,
+                upper=_b,
+                region_size=len(region),
+                module_count=len(seps.reps),
+                k_region=k_region,
+                separator_size=len(seps.separators),
+                aux_size=len(aux.vertices),
+                max_modules_per_component=max((len(ms) for ms in comp_modules), default=0),
+            )
+        )
+
+        depth = 0
+        for comp, modules in zip(comps, comp_modules):
+            if len(modules) > 1:
+                raise TreeSearchError(f"separator left {len(modules)} heavy modules together")
+            if modules:
+                module = modules[0]
+                strategy = reference_attach_subtree(
+                    strategy, norm, comp, ranking_based_dt(norm, within=module)
+                )
+                light_parts = induced_components(norm, comp - module)
+            else:
+                light_parts = [comp]
+            for part in light_parts:
+                part_dt, part_depth = recurse(part, level - 1)
+                strategy = reference_attach_subtree(strategy, norm, part, part_dt)
+                depth = max(depth, part_depth)
+        return strategy, depth + 1
+
+    dtree, depth_d = recurse(norm.vertex_set, schedule.count - 1)
+    validate_decision_tree(norm, dtree)
+    return dtree, ApproxStats(depth_d, schedule, tuple(records))

@@ -34,3 +34,8 @@ def shuffled_tree_instances(draw, **kwargs):
     for v in range(1, inst.n + 1):
         costs[new_id[v] - 1] = inst.cost(v)
     return tree_instance(inst.n, [(new_id[u], new_id[v]) for u, v in inst.edges], costs)
+
+
+def any_tree_instances(**kwargs):
+    """``tree_instances`` with attachment ids or with shuffled ids."""
+    return st.one_of(tree_instances(**kwargs), shuffled_tree_instances(**kwargs))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import treesearch
 from treesearch import (
     DecisionTree,
+    SolveLimits,
     attach_subtree,
     auxiliary_tree,
     cost_levels,
@@ -45,7 +46,7 @@ from treesearch.errors import (
 )
 
 import oracles
-from strategies import tree_instances
+from strategies import any_tree_instances
 
 # Largest binary64 below 1/log2(11); regression-pinned, independently
 # verified against mpmath in test_frozen_dyadic_for_11.
@@ -358,7 +359,7 @@ def _graft_outcome(fn, d, inst, region, sub_dt):
 class TestGraftAgainstReference:
     """``attach_subtree`` against the graft that splits the whole tree."""
 
-    @given(tree_instances(min_n=2, max_n=14), st.data())
+    @given(any_tree_instances(min_n=2, max_n=14), st.data())
     @settings(max_examples=400)
     def test_same_tree_or_same_error(self, inst, data):
         d, full = _draw_partial_strategy(inst, data)
@@ -508,3 +509,27 @@ class TestCreateDecisionTree:
         d2, s2 = create_decision_tree(fix1)
         assert serialize_decision_tree(d1) == serialize_decision_tree(d2)
         assert s1 == s2
+
+
+class TestBuildAgainstReference:
+    """The build on the caller's instance against the normalize-based build."""
+
+    @given(any_tree_instances(max_n=24))
+    @settings(max_examples=300)
+    def test_same_tree_and_stats(self, inst):
+        limits = SolveLimits(20_000)
+        assert oracles.outcome(create_decision_tree, inst, limits) == oracles.outcome(
+            oracles.reference_create_decision_tree, inst, limits
+        )
+
+    @given(
+        any_tree_instances(max_n=24),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+    )
+    @settings(max_examples=200)
+    def test_cost_scale_changes_nothing(self, inst, scale):
+        limits = SolveLimits(20_000)
+        scaled = tree_instance(inst.n, inst.edges, [c * scale for c in inst.costs])
+        assert oracles.outcome(create_decision_tree, scaled, limits) == oracles.outcome(
+            create_decision_tree, inst, limits
+        )

@@ -155,3 +155,29 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "recursion depth" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe",
+            b'{"n": 2, "edges": [[1, 2]], "costs": [1, 9' + b"9" * 5000 + b"]}",
+            b'{"n": 1, "edges": [], "costs": ["1e999999999"]}',
+            b'{"n": 1, "edges": [], "costs": ["-1e4300"]}',
+        ],
+        ids=["not-utf8", "long-integer", "huge-exponent", "long-decimal"],
+    )
+    def test_unreadable_instance_is_1(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        proc = run_process(["validate", "--input", str(path)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
+
+    def test_non_utf8_tree_is_1(self, inst_file, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_bytes(b"\xff\xfe")
+        proc = run_process(["eval", "--input", str(inst_file), "--tree", str(tree)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "UTF-8" in proc.stderr

@@ -42,7 +42,7 @@ from treesearch.errors import (
 )
 
 import oracles
-from strategies import tree_instances
+from strategies import any_tree_instances, tree_instances
 
 
 class TestValidateInstance:
@@ -81,6 +81,19 @@ class TestValidateInstance:
             tree_instance(2, [(1, 2)], [1, 0])
         assert err.value.vertex == 2
 
+    @pytest.mark.parametrize("cost", [0, -1, "-2/3", Fraction(0), Fraction(-1, 7), "0.0"])
+    def test_non_positive_forms_rejected(self, cost):
+        with pytest.raises(NonPositiveCost) as err:
+            tree_instance(2, [(1, 2)], [cost, 1])
+        assert err.value.vertex == 1 and err.value.cost == Fraction(cost)
+
+    def test_cost_forms_become_fractions(self):
+        half = Fraction(1, 2)
+        inst = tree_instance(4, [(1, 2), (2, 3), (3, 4)], [half, 3, "6/4", "2.5e-1"])
+        assert inst.costs == (half, 3, Fraction(3, 2), Fraction(1, 4))
+        assert all(type(c) is Fraction for c in inst.costs)
+        assert inst.costs[0] is half
+
     def test_edge_canonicalization(self):
         inst = tree_instance(3, [(3, 2), (2, 1)], [1, 1, 1])
         assert inst.edges == ((1, 2), (2, 3))
@@ -111,6 +124,7 @@ class TestNormalize:
 
     @given(tree_instances(max_n=16))
     def test_scaling_preserves_costs_exactly(self, inst):
+        assert inst.max_cost == max(inst.costs) and type(inst.max_cost) is Fraction
         norm, scale = normalize(inst)
         assert norm.max_cost == 1
         assert tuple(c * scale for c in norm.costs) == inst.costs
@@ -168,7 +182,7 @@ class TestTraversalKernel:
         with pytest.raises(NotConnected):
             rooted_order(fix1, set(), 1)
 
-    @given(tree_instances(max_n=24), st.data())
+    @given(any_tree_instances(max_n=24), st.data())
     @settings(max_examples=200)
     def test_against_oracle(self, inst, data):
         verts = data.draw(st.sets(st.integers(1, inst.n)))
@@ -432,7 +446,7 @@ def _mismatched(inst, d, universe, q):
 
 
 class TestStrategyCheckAgainstReference:
-    @given(tree_instances(max_n=12), st.data())
+    @given(any_tree_instances(max_n=12), st.data())
     @settings(max_examples=600)
     def test_same_outcome_and_cost(self, inst, data):
         kind = data.draw(st.sampled_from(["all", "connected", "disconnected"]))

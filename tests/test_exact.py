@@ -18,7 +18,7 @@ from treesearch import (
 from treesearch.errors import InvalidParameters, NotConnected, StateLimitExceeded
 
 import oracles
-from strategies import tree_instances
+from strategies import any_tree_instances, tree_instances
 
 # Exact optimum of the reference instance; the worked strategy D_FIX2
 # costs 11/5, the optimum is strictly better.  Cross-checked against the
@@ -126,7 +126,7 @@ def _outcome(solver, inst, limits):
 class TestAgainstSearchSolver:
     """The edge-side solver memoises the same sets as the search-based one."""
 
-    @given(tree_instances(max_n=12))
+    @given(any_tree_instances(max_n=12))
     @settings(max_examples=60, deadline=None)
     def test_same_value_witness_and_limit(self, inst):
         for max_states in (8, 64, 512, None):
@@ -135,7 +135,7 @@ class TestAgainstSearchSolver:
                 oracles.reference_opt_exact, inst, limits
             )
 
-    @given(tree_instances(min_n=2, max_n=12))
+    @given(any_tree_instances(min_n=2, max_n=12))
     @settings(max_examples=30, deadline=None)
     def test_same_result_within_subset(self, inst):
         rng = random.Random(inst.n)
