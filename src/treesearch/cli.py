@@ -36,8 +36,17 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, doc) -> None:
-    _write(args, json.dumps(doc, indent=2) + "\n")
+def _emit_json(args, doc, tree=None) -> None:
+    """Write ``doc`` as ``json.dumps(indent=2)``, with ``tree`` as a last ``"tree"`` key.
+
+    The strategy's own canonical text is indented into place rather than
+    decoded and encoded again.
+    """
+    text = json.dumps(doc, indent=2)
+    if tree is not None:
+        nested = serialize_decision_tree(tree).rstrip("\n").replace("\n", "\n  ")
+        text = f'{text[:-2]},\n  "tree": {nested}\n}}'
+    _write(args, text + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -59,8 +68,8 @@ def _cmd_solve(args) -> int:
                 "cost": str(cost),
                 "depth_d": stats.depth_d,
                 "max_aux_size": stats.max_aux_size,
-                "tree": json.loads(serialize_decision_tree(dtree)),
             },
+            dtree,
         )
     return 0
 
@@ -71,7 +80,7 @@ def _cmd_exact(args) -> int:
     if args.format == "dot":
         _write(args, export_dot(inst=inst, strategy=witness))
     else:
-        _emit_json(args, {"opt": str(opt), "tree": json.loads(serialize_decision_tree(witness))})
+        _emit_json(args, {"opt": str(opt)}, witness)
     return 0
 
 
@@ -94,8 +103,8 @@ def _cmd_rank(args) -> int:
             "labels": {str(v): ranking.labels[v] for v in sorted(ranking.labels)},
             "max_label": ranking.max_label,
             "cost": str(cost),
-            "tree": json.loads(serialize_decision_tree(dtree)),
         },
+        dtree,
     )
     return 0
 

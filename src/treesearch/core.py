@@ -20,13 +20,15 @@ the instance edges, and every ``within`` argument is resolved by
 :meth:`TreeInstance.subset`.
 
 All cost arithmetic is exact.  Costs are `fractions.Fraction` at the API
-boundary: :func:`tree_instance` takes anything ``Fraction`` accepts (an
-int, a ``Fraction``, or a string such as "2/5", "0.25" or "3e-2"; a
-``Fraction`` is kept as it is, anything else is converted once).  String
-costs reach ``Fraction`` unchecked here, so a huge exponent such as
-"1e999999999" takes as long as building its power of ten;
-``serialize.parse_instance`` rejects exponents past the interpreter's
-digit limit before converting.  Inside, each instance carries its costs
+boundary: :func:`validate_instance` (and so :func:`tree_instance`) takes
+anything ``Fraction`` accepts (an int, a ``Fraction``, or a string such as
+"2/5", "0.25" or "3e-2").  A ``Fraction`` is kept as it is; every other
+value is converted once, each distinct int or string once per instance.
+A conversion that fails raises :class:`InvalidCost`, and so does a
+string whose decimal exponent exceeds :func:`sys.get_int_max_str_digits`
+in magnitude (its power of ten would take too long to build) and a value
+whose numerator or denominator has more digits than that limit (it could
+not be printed).  Inside, each instance carries its costs
 once as integers over their common denominator
 (:attr:`TreeInstance.weights`), and a threshold is turned into one
 integer :meth:`TreeInstance.cutoff`, so inner loops compare machine
@@ -38,14 +40,17 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
     ComponentMismatch,
     DuplicateVertex,
+    InvalidCost,
     MissingVertex,
     NonPositiveCost,
     NotATree,
@@ -208,12 +213,39 @@ def tree_instance(n: int, edges: Iterable, costs: Iterable) -> TreeInstance:
     return validate_instance(raw)
 
 
+# The exponent of a decimal cost string, where ``Fraction`` would look for it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+@cache
+def _ten_to(limit: int) -> int:
+    return 10**limit
+
+
+def _to_cost(c, vertex: int) -> Fraction:
+    """``Fraction(c)`` for the cost of ``vertex``, within the digit limit."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(c) if limit and type(c) is str else None
+    try:
+        if exponent and abs(int(exponent[1])) > limit:
+            raise OverflowError(f"its exponent exceeds {limit}")
+        cost = Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        why = f" ({exc})" if isinstance(exc, OverflowError) else ""
+        raise InvalidCost(f"cost of vertex {vertex} is not a rational{why}: {c!r:.80}") from exc
+    if limit and max(abs(cost.numerator), cost.denominator) >= _ten_to(limit):
+        raise InvalidCost(f"cost of vertex {vertex} has more than {limit} digits")
+    return cost
+
+
 def validate_instance(raw: TreeInstance) -> TreeInstance:
     """Check tree structure and costs; return the canonicalized instance.
 
     Raises :class:`NotATree` if the edges are not exactly the ``n - 1``
-    edges of a connected acyclic graph on vertices ``1..n``, and
-    :class:`NonPositiveCost` (with the offending vertex) otherwise.
+    edges of a connected acyclic graph on vertices ``1..n``,
+    :class:`InvalidCost` if a cost is not a rational within the digit
+    limit, and :class:`NonPositiveCost` (with the offending vertex)
+    otherwise.
     """
     n = raw.n
     if n < 1:
@@ -251,12 +283,20 @@ def validate_instance(raw: TreeInstance) -> TreeInstance:
         raise NotATree(f"graph is disconnected ({reached} of {n} vertices reachable)")
 
     costs = []
-    for i, c in enumerate(raw.costs):
+    converted: dict[int | str, Fraction] = {}  # exact types only: True == 1 == 1.0
+    for v, c in enumerate(raw.costs, 1):
         if type(c) is not Fraction:
-            c = Fraction(c)
-        if c.numerator <= 0:
-            raise NonPositiveCost(i + 1, c)
+            if type(c) is int or type(c) is str:
+                cost = converted.get(c)
+                if cost is None:
+                    cost = converted[c] = _to_cost(c, v)
+                c = cost
+            else:
+                c = _to_cost(c, v)
         costs.append(c)
+    for v, c in enumerate(costs, 1):  # every cost converts before any sign is checked
+        if c.numerator <= 0:
+            raise NonPositiveCost(v, c)
 
     return TreeInstance(n, tuple(edges), tuple(costs))
 

@@ -18,6 +18,10 @@ class NonPositiveCost(TreeSearchError):
         self.cost = cost
 
 
+class InvalidCost(TreeSearchError, ValueError):
+    """A cost is not a rational number, or has more digits than the interpreter prints."""
+
+
 class VertexNotInCandidate(TreeSearchError):
     """The split vertex does not belong to the candidate set."""
 

@@ -3,13 +3,11 @@
 Instance document: ``{"n": int, "edges": [[u, v], ...], "costs": [...]}``
 with 1-based vertex ids and ``costs[i]`` belonging to vertex ``i + 1``.
 Costs are written as exact rational strings ("2/5", "1").  On input a
-cost is a JSON integer or a string that :class:`fractions.Fraction`
-accepts: an integer, ``p/q``, or a decimal with an optional exponent
-("0.25", "3e-2").  A decimal exponent whose magnitude exceeds
-:func:`sys.get_int_max_str_digits` is rejected, since building its power
-of ten would not finish, and so is a cost whose numerator or denominator
-has more digits than that limit, since it could not be printed.  Each
-distinct cost token is converted once per document.
+cost is a JSON integer or a string, converted as
+:func:`~treesearch.core.validate_instance` converts it: an integer,
+``p/q``, or a decimal with an optional exponent ("0.25", "3e-2"), within
+the interpreter's digit limit (:func:`sys.get_int_max_str_digits`) for
+both the exponent and the value.
 
 Strategy document: ``{"root": int, "children": {"<id>": [ids...]}}``.
 Serialization is canonical, so equal values produce byte-identical
@@ -22,38 +20,9 @@ limit, raises :class:`ParseError`.
 from __future__ import annotations
 
 import json
-import re
-import sys
-from fractions import Fraction
 
 from .core import DecisionTree, TreeInstance, validate_instance
-from .errors import ParseError
-
-# The exponent of a decimal cost, where ``Fraction`` would look for it.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
-def _parse_cost(token: int | str, position: int) -> Fraction:
-    """One cost token (a JSON integer or string) as a ``Fraction``."""
-    if type(token) is int:
-        return Fraction(token)
-    try:
-        # Plain "digits" and "digits/digits" skip Fraction's regex.
-        num, slash, den = token.partition("/")
-        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            return Fraction(int(num), int(den) if slash else 1)
-        # Past the interpreter's digit limit a power of ten takes too long
-        # to build, and a value too long to print could not be written back.
-        limit = sys.get_int_max_str_digits()
-        exponent = _EXPONENT.search(token)
-        if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ParseError(f"cost #{position} has an exponent beyond {limit}: {token[:40]!r}")
-        cost = Fraction(token)
-        if limit and max(abs(cost.numerator), cost.denominator) >= 10**limit:
-            raise ParseError(f"cost #{position} has more than {limit} digits: {token[:40]!r}")
-        return cost
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cost #{position} is not a rational: {token[:80]!r}") from exc
+from .errors import InvalidCost, ParseError
 
 
 def _load_json(text: str):
@@ -98,16 +67,13 @@ def parse_instance(text: str) -> TreeInstance:
         pairs.append((edge[0], edge[1]))
     if not isinstance(costs, list):
         raise ParseError('"costs" must be a list')
-    parsed = []
-    memo: dict[int | str, Fraction] = {}  # keyed by exact type only: True == 1 == 1.0
     for position, token in enumerate(costs, 1):
         if type(token) is not int and type(token) is not str:
             raise ParseError(f"cost #{position} must be a rational string or integer")
-        cost = memo.get(token)
-        if cost is None:
-            cost = memo[token] = _parse_cost(token, position)
-        parsed.append(cost)
-    return validate_instance(TreeInstance(n, tuple(pairs), tuple(parsed)))
+    try:
+        return validate_instance(TreeInstance(n, tuple(pairs), tuple(costs)))
+    except InvalidCost as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def load_instance(path) -> TreeInstance:

@@ -17,7 +17,7 @@ set, and the cost walk over ``Fraction`` path sums), and
 walk between every pair of equal labels, and the strategy built by
 re-splitting every piece below its top-labelled vertex), and
 ``reference_parse_cost`` (every cost token through ``Fraction``, with no
-memo, fast path or exponent limit) and ``reference_create_decision_tree``
+memo or digit limits) and ``reference_create_decision_tree``
 (the build on a normalized copy of the instance, each level call
 returning its own strategy for the level above to graft, here through
 ``reference_attach_subtree``).

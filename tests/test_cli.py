@@ -1,5 +1,8 @@
 """End-to-end CLI: subcommands, formats, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treesearch
-from treesearch import parse_instance
-from treesearch.cli import main
+from treesearch import DecisionTree, parse_instance
+from treesearch.cli import _emit_json, main
 
 
 def run_process(argv):
@@ -100,6 +105,30 @@ class TestSubcommands:
     def test_gen_output_parses(self, inst_file):
         inst = parse_instance(inst_file.read_text())
         assert inst.n == 9
+
+
+class TestNestedStrategyText:
+    """Strategy text indented into a document reads as the document's own encoding."""
+
+    @given(
+        st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.text(max_size=4)),
+                        min_size=1, max_size=3),
+        st.integers(-10**6, 10**6),
+        st.dictionaries(
+            st.integers(-10**6, 10**6), st.lists(st.integers(-10**6, 10**6), max_size=3),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_same_bytes_as_json_dumps(self, doc, root, children):
+        doc.pop("tree", None)
+        tree = DecisionTree(root, children)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit_json(argparse.Namespace(output=None), doc, tree)
+        kids = tree.children
+        nested = {"root": tree.root, "children": {str(q): list(kids[q]) for q in sorted(kids)}}
+        assert out.getvalue() == json.dumps({**doc, "tree": nested}, indent=2) + "\n"
 
 
 class TestExitCodes:

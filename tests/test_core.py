@@ -31,6 +31,7 @@ from treesearch.core import induced_components, rooted_order
 from treesearch.errors import (
     ComponentMismatch,
     DuplicateVertex,
+    InvalidCost,
     InvalidDecisionTree,
     MissingVertex,
     NonPositiveCost,
@@ -93,6 +94,27 @@ class TestValidateInstance:
         assert inst.costs == (half, 3, Fraction(3, 2), Fraction(1, 4))
         assert all(type(c) is Fraction for c in inst.costs)
         assert inst.costs[0] is half
+
+    @pytest.mark.parametrize(
+        "cost",
+        ["abc", "1/0", "", 1.5j, None, float("nan"), float("inf"), "1e999999999",
+         f"1e-{sys.get_int_max_str_digits()}", -(10 ** sys.get_int_max_str_digits())],
+        ids=["text", "zero-denominator", "empty", "complex", "none", "nan", "inf",
+             "huge-exponent", "long-decimal", "long-int"],
+    )
+    def test_unconvertible_or_too_long_cost_is_typed(self, cost):
+        with pytest.raises(InvalidCost, match="vertex 2"):
+            tree_instance(2, [(1, 2)], [1, cost])
+        assert issubclass(InvalidCost, ValueError)  # what Fraction itself raised
+
+    def test_every_cost_converts_before_signs_are_checked(self):
+        with pytest.raises(InvalidCost):
+            tree_instance(2, [(1, 2)], [0, "abc"])
+
+    def test_equal_tokens_convert_to_one_value(self):
+        inst = tree_instance(4, [(1, 2), (2, 3), (3, 4)], ["2/6", "2/6", 5, 5])
+        assert inst.costs == (Fraction(1, 3),) * 2 + (Fraction(5),) * 2
+        assert inst.costs[0] is inst.costs[1] and inst.costs[2] is inst.costs[3]
 
     def test_edge_canonicalization(self):
         inst = tree_instance(3, [(3, 2), (2, 1)], [1, 1, 1])
