@@ -235,11 +235,6 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
     zs = sorted(separators)
     if not zs:
         raise InvalidSize("separator set must be non-empty")
-    if len(zs) == 1:
-        v = zs[0]
-        instance = tree_instance(1, (), (inst.cost(v),))
-        return AuxiliaryTree((v,), (), instance)
-
     zset = frozenset(zs)
     nearest = {zs[0]: zs[0]}  # closest separator at or above each visited vertex
     edges = []
@@ -286,9 +281,8 @@ class _Strategy:
         parent, depth, children = self.parent, self.depth, self.children
         parent[d.root] = above
         depth[d.root] = depth[above] + 1 if above else 0
-        queue = [d.root]
         kids_of = d.children.get
-        for q in queue:
+        for q in d.order:
             kids = kids_of(q)
             if kids:
                 children[q] = list(kids)
@@ -296,7 +290,6 @@ class _Strategy:
                 for child in kids:
                     parent[child] = q
                     depth[child] = below
-                queue.extend(kids)
 
     def attach(self, q: int, d: DecisionTree) -> None:
         """Add the strategy ``d`` as the last child of query ``q`` (0: as the root)."""
@@ -318,7 +311,7 @@ def _graft(strategy: _Strategy, inst: TreeInstance, region, sub_dt: DecisionTree
     region's vertices; nothing is scanned per strategy vertex.
     """
     region = frozenset(region)
-    outside = sub_dt.vertex_set - region
+    outside = sub_dt.parent_map.keys() - region
     if outside:
         raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
     depth = strategy.depth

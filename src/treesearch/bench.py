@@ -15,7 +15,7 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .approx import create_decision_tree
@@ -151,25 +151,20 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(BenchRow))
+
+
+def _report_row(r: BenchRow) -> dict:
+    """The report columns of ``r``: missing figures empty, runtime to the microsecond."""
+    row = {name: getattr(r, name) for name in _ROW_FIELDS}
+    row.update(opt=_fmt(r.opt), approx_cost=_fmt(r.approx_cost), ratio=_fmt(r.ratio),
+               runtime_ms=round(r.runtime_ms, 3))
+    return row
+
+
 def report_to_json(report: BenchReport) -> str:
     doc = {
-        "rows": [
-            {
-                "seed": r.seed,
-                "n": r.n,
-                "shape": r.shape,
-                "cost_model": r.cost_model,
-                "k": r.k,
-                "opt": _fmt(r.opt),
-                "approx_cost": _fmt(r.approx_cost),
-                "ratio": _fmt(r.ratio),
-                "depth_d": r.depth_d,
-                "max_aux_size": r.max_aux_size,
-                "runtime_ms": round(r.runtime_ms, 3),
-                "status": r.status,
-            }
-            for r in report.rows
-        ],
+        "rows": [_report_row(r) for r in report.rows],
         "aggregates": {
             "count": len(report.rows),
             "max_ratio": str(report.max_ratio),
@@ -180,19 +175,12 @@ def report_to_json(report: BenchReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_CSV_FIELDS = ("seed", "n", "shape", "cost_model", "k", "opt", "approx_cost",
-               "ratio", "depth_d", "max_aux_size", "runtime_ms", "status")
-
-
 def report_to_csv(report: BenchReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(_CSV_FIELDS)
+    writer.writerow(_ROW_FIELDS)
     for r in report.rows:
-        writer.writerow(
-            [r.seed, r.n, r.shape, r.cost_model, r.k, _fmt(r.opt), _fmt(r.approx_cost),
-             _fmt(r.ratio), r.depth_d, r.max_aux_size, round(r.runtime_ms, 3), r.status]
-        )
+        writer.writerow(_report_row(r).values())
     writer.writerow([])
     writer.writerow(["max_ratio", str(report.max_ratio)])
     writer.writerow(["mean_ratio", str(report.mean_ratio)])

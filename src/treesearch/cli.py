@@ -14,7 +14,7 @@ import sys
 from .approx import create_decision_tree
 from .bench import BenchConfig, report_to_csv, report_to_json, run_bench
 from .core import evaluate_cost, query_sequence, validate_decision_tree
-from .errors import StateLimitExceeded, TreeSearchError
+from .errors import InvalidCost, StateLimitExceeded, TreeSearchError
 from .exact import SolveLimits, opt_exact
 from .generators import COST_MODELS, SHAPES, generate_instance
 from .modularity import is_up_monotonic, k_up_modularity
@@ -49,9 +49,18 @@ def _emit_json(args, doc, tree=None) -> None:
     _write(args, text + "\n")
 
 
+def _cost_text(cost) -> str:
+    """``str(cost)``; :class:`InvalidCost` if it has too many digits to print."""
+    try:
+        return str(cost)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise InvalidCost(f"cost has more than {limit} digits, too many to print") from exc
+
+
 def _cmd_validate(args) -> int:
     inst = load_instance(args.input)
-    _emit_json(args, {"ok": True, "n": inst.n, "max_cost": str(inst.max_cost)})
+    _emit_json(args, {"ok": True, "n": inst.n, "max_cost": _cost_text(inst.max_cost)})
     return 0
 
 
@@ -65,7 +74,7 @@ def _cmd_solve(args) -> int:
         _emit_json(
             args,
             {
-                "cost": str(cost),
+                "cost": _cost_text(cost),
                 "depth_d": stats.depth_d,
                 "max_aux_size": stats.max_aux_size,
             },
@@ -80,7 +89,7 @@ def _cmd_exact(args) -> int:
     if args.format == "dot":
         _write(args, export_dot(inst=inst, strategy=witness))
     else:
-        _emit_json(args, {"opt": str(opt)}, witness)
+        _emit_json(args, {"opt": _cost_text(opt)}, witness)
     return 0
 
 
@@ -88,7 +97,7 @@ def _cmd_eval(args) -> int:
     inst = load_instance(args.input)
     dtree = load_decision_tree(args.tree)
     cost = evaluate_cost(inst, dtree)
-    _emit_json(args, {"cost": str(cost)})
+    _emit_json(args, {"cost": _cost_text(cost)})
     return 0
 
 
@@ -102,7 +111,7 @@ def _cmd_rank(args) -> int:
         {
             "labels": {str(v): ranking.labels[v] for v in sorted(ranking.labels)},
             "max_label": ranking.max_label,
-            "cost": str(cost),
+            "cost": _cost_text(cost),
         },
         dtree,
     )
@@ -114,7 +123,7 @@ def _cmd_kmod(args) -> int:
     k, witness = k_up_modularity(inst)
     _emit_json(
         args,
-        {"k": k, "witness_threshold": str(witness), "up_monotonic": is_up_monotonic(inst)},
+        {"k": k, "witness_threshold": _cost_text(witness), "up_monotonic": is_up_monotonic(inst)},
     )
     return 0
 
@@ -157,7 +166,7 @@ def _cmd_trace(args) -> int:
     dtree = load_decision_tree(args.tree)
     validate_decision_tree(inst, dtree)
     seq = query_sequence(inst, dtree, args.target)
-    _emit_json(args, {"queries": list(seq.vertices), "cost": str(seq.total_cost)})
+    _emit_json(args, {"queries": list(seq.vertices), "cost": _cost_text(seq.total_cost)})
     return 0
 
 

@@ -15,8 +15,12 @@ Searches of the tree go through two helpers here:
 the exact solver's edge sides).  The other walks are sweeps over :attr:`TreeInstance.adjacency`:
 the early-stopping contraction in ``approx``, and the union-find sweeps
 of ``modularity`` (decreasing cost) and ``ranking`` (increasing label).
-A strategy is checked and priced in one walk of it plus one pass over
-the instance edges, and every ``within`` argument is resolved by
+A strategy's child lists are walked in one place, into the cached
+:attr:`DecisionTree.parent_map` and :attr:`DecisionTree.order`; its
+vertex set, depth and query sequences, the build's graft copy and the
+check and price of :func:`validate_decision_tree` and
+:func:`evaluate_cost` all read that walk, the last two adding one pass
+over the instance edges.  Every ``within`` argument is resolved by
 :meth:`TreeInstance.subset`.
 
 All cost arithmetic is exact.  Costs are `fractions.Fraction` at the API
@@ -150,6 +154,9 @@ class DecisionTree:
 
     Vertices with no children are omitted from the mapping; the mapping is
     canonicalized on construction so structural equality is well defined.
+    The child lists are walked once, on first use, into :attr:`parent_map`
+    and :attr:`order`, cached together, which the other views read; each
+    view raises :class:`DuplicateVertex` when a vertex is listed twice.
     """
 
     root: int
@@ -167,32 +174,45 @@ class DecisionTree:
         return self.children.get(v, ())
 
     @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        verts = {self.root}
-        for kids in self.children.values():
-            verts.update(kids)
-        return frozenset(verts)
-
-    @cached_property
-    def parent_map(self) -> dict[int, int]:
-        parents = {}
+    def _walk(self) -> tuple[dict[int, int], tuple[int, ...]]:
+        """:attr:`parent_map` and then :attr:`order`, found once per tree."""
+        parents = {self.root: 0}
         for q, kids in self.children.items():
             for child in kids:
+                if child in parents:
+                    raise DuplicateVertex(f"vertex {child} appears more than once")
                 parents[child] = q
-        return parents
+        order = [self.root]
+        for q in order:  # every vertex has one parent, so none is reached twice
+            order.extend(self.child_list(q))
+        return parents, tuple(order)
+
+    @property
+    def parent_map(self) -> dict[int, int]:
+        """Parent of every listed vertex, the root mapped to 0 (no vertex).
+
+        Raises :class:`DuplicateVertex` when a vertex is listed twice or the
+        root is listed as a child.
+        """
+        return self._walk[0]
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The vertices reachable from the root, breadth first (parents first)."""
+        return self._walk[1]
+
+    @cached_property
+    def vertex_set(self) -> frozenset[int]:
+        """Every listed vertex, reachable from the root or not."""
+        return frozenset(self.parent_map)
 
     @cached_property
     def depth(self) -> int:
         """Worst-case number of queries; :class:`DuplicateVertex` if a vertex recurs."""
-        depth = {self.root: 1}
-        order = [self.root]
-        for v in order:
-            for child in self.child_list(v):
-                if child in depth:
-                    raise DuplicateVertex(f"vertex {child} is reached twice from the root")
-                depth[child] = depth[v] + 1
-                order.append(child)
-        return max(depth.values())
+        parents, v, depth = self.parent_map, self.order[-1], 1  # the last one is deepest
+        while v != self.root:
+            v, depth = parents[v], depth + 1
+        return depth
 
 
 @dataclass(frozen=True)
@@ -394,22 +414,15 @@ def _intervals(order, parent, n: int) -> tuple[list[int], list[int]]:
 
 
 def _strategy_order(inst: TreeInstance, d: DecisionTree, within):
-    """``d``'s parents-first order and parent map (root to 0), checked to be a strategy."""
+    """``d.order`` and ``d.parent_map``, checked to be a strategy on the universe."""
     universe = inst.subset(within)
-    parent = {d.root: 0}
-    for q, kids in d.children.items():
-        for child in kids:
-            if child in parent:
-                raise DuplicateVertex(f"vertex {child} appears more than once")
-            parent[child] = q
+    parent = d.parent_map
     extra = sorted(parent.keys() - universe)
     if extra:
         raise QueryOutsideCandidate(extra[0], f"vertices outside the instance: {extra}")
     if len(parent) < len(universe):
         raise MissingVertex(f"vertices never queried: {sorted(universe - parent.keys())}")
-    order = [d.root]
-    for q in order:
-        order.extend(d.child_list(q))
+    order = d.order
     if len(order) < len(universe):
         unreachable = sorted(universe - set(order))
         raise MissingVertex(f"vertices not reachable from the root: {unreachable}")
@@ -464,16 +477,20 @@ def evaluate_cost(inst: TreeInstance, d: DecisionTree, within=None) -> Fraction:
 
 
 def query_sequence(inst: TreeInstance, d: DecisionTree, x: int) -> QuerySequence:
-    """Queries issued when the target is ``x``: the root-to-``x`` path in ``d``."""
-    if x not in d.vertex_set:
-        raise UnknownVertex(f"vertex {x} does not appear in the strategy")
+    """Queries issued when the target is ``x``: the root-to-``x`` path in ``d``.
+
+    Climbs :attr:`DecisionTree.parent_map` from ``x``, so it costs the
+    length of the path and checks nothing else about ``d``.  Raises
+    :class:`UnknownVertex` when ``x`` is not in ``d`` and
+    :class:`MissingVertex` when its parent chain never reaches the root.
+    """
     parents = d.parent_map
+    if x not in parents:
+        raise UnknownVertex(f"vertex {x} does not appear in the strategy")
     path = [x]
     while path[-1] != d.root:
-        if path[-1] not in parents:
+        if path[-1] not in parents or len(path) > len(parents):  # a gap or a cycle
             raise MissingVertex(f"vertex {x} is not reachable from the root")
-        if len(path) > len(parents):  # each of them has a parent, so one repeats
-            raise DuplicateVertex(f"the parent chain of vertex {x} repeats a vertex")
         path.append(parents[path[-1]])
     path.reverse()
     total = sum((inst.cost(v) for v in path), Fraction(0))

@@ -8,7 +8,11 @@ reproduce: ``reference_opt_exact`` (the bitmask solver that finds
 components by search), ``reference_k_up_modularity`` (one heavy-module
 scan per distinct cost, comparing rational costs directly) and
 ``reference_attach_subtree`` (the graft that rebuilds whole-strategy
-maps and splits the whole tree on every call), and
+maps and splits the whole tree on every call, reading the strategy
+through ``reference_vertex_set`` and ``reference_parent_map``),
+``reference_vertex_set`` / ``reference_parent_map`` / ``reference_depth``
+/ ``reference_query_sequence`` (each its own pass over the child lists,
+with no shared walk; the parent map leaves out the root), and
 ``reference_validate_decision_tree`` / ``reference_evaluate_cost`` (the
 strategy check that re-runs the search, splitting each query's candidate
 set, and the cost walk over ``Fraction`` path sums), and
@@ -37,6 +41,7 @@ from treesearch.approx import (
     separator_sets,
 )
 from treesearch.core import (
+    QuerySequence,
     TreeInstance,
     induced_components,
     normalize,
@@ -56,6 +61,7 @@ from treesearch.errors import (
     QueryOutsideCandidate,
     StateLimitExceeded,
     TreeSearchError,
+    UnknownVertex,
 )
 from treesearch.exact import opt_exact
 from treesearch.modularity import heavy_modules, k_up_modularity
@@ -353,6 +359,51 @@ def reference_k_up_modularity(inst, within=None):
     return best_k, witness
 
 
+def reference_vertex_set(d: DecisionTree) -> frozenset[int]:
+    verts = {d.root}
+    for kids in d.children.values():
+        verts.update(kids)
+    return frozenset(verts)
+
+
+def reference_parent_map(d: DecisionTree) -> dict[int, int]:
+    parents = {}
+    for q, kids in d.children.items():
+        for child in kids:
+            parents[child] = q
+    return parents
+
+
+def reference_depth(d: DecisionTree) -> int:
+    """Worst-case number of queries; :class:`DuplicateVertex` if a vertex recurs."""
+    depth = {d.root: 1}
+    order = [d.root]
+    for v in order:
+        for child in d.child_list(v):
+            if child in depth:
+                raise DuplicateVertex(f"vertex {child} is reached twice from the root")
+            depth[child] = depth[v] + 1
+            order.append(child)
+    return max(depth.values())
+
+
+def reference_query_sequence(inst: TreeInstance, d: DecisionTree, x: int) -> QuerySequence:
+    """Queries issued when the target is ``x``: the root-to-``x`` path in ``d``."""
+    if x not in reference_vertex_set(d):
+        raise UnknownVertex(f"vertex {x} does not appear in the strategy")
+    parents = reference_parent_map(d)
+    path = [x]
+    while path[-1] != d.root:
+        if path[-1] not in parents:
+            raise MissingVertex(f"vertex {x} is not reachable from the root")
+        if len(path) > len(parents):  # each of them has a parent, so one repeats
+            raise DuplicateVertex(f"the parent chain of vertex {x} repeats a vertex")
+        path.append(parents[path[-1]])
+    path.reverse()
+    total = sum((inst.cost(v) for v in path), Fraction(0))
+    return QuerySequence(tuple(path), total)
+
+
 def reference_attach_subtree(d, inst, region, sub_dt):
     """Graft a strategy for an unqueried region below the right query.
 
@@ -365,10 +416,10 @@ def reference_attach_subtree(d, inst, region, sub_dt):
     inside one response branch :class:`NotConnected`.
     """
     region = frozenset(region)
-    outside = sub_dt.vertex_set - region
+    outside = reference_vertex_set(sub_dt) - region
     if outside:
         raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
-    queried = d.vertex_set
+    queried = reference_vertex_set(d)
     overlap = region & queried
     if overlap:
         raise DuplicateVertex(f"region holds queried vertices {sorted(overlap)}")
@@ -391,7 +442,7 @@ def reference_attach_subtree(d, inst, region, sub_dt):
     deepest = max(hooks, key=lambda v: depth[v])
 
     chain = {deepest}
-    parents = d.parent_map
+    parents = reference_parent_map(d)
     v = deepest
     while v != d.root:
         v = parents[v]

@@ -9,6 +9,8 @@ import pytest
 
 from treesearch import (
     BenchConfig,
+    BenchReport,
+    BenchRow,
     report_to_csv,
     report_to_json,
     run_bench,
@@ -93,6 +95,23 @@ class TestReports:
         assert rows[0][:4] == ["seed", "n", "shape", "cost_model"]
         assert len([r for r in rows if r and r[0].isdigit()]) == 3
         assert ["bound_violations", "0"] in rows
+
+
+    def test_csv_columns_are_the_json_row_fields(self):
+        report = BenchReport((
+            BenchRow(1, 7, "path", "uniform", 1, Fraction(3), Fraction(3), Fraction(1),
+                     0, 0, 1.23456, "ok"),
+            BenchRow(2, 20, "star", "random", 2, None, Fraction(22, 7), None, 1, 9, 0.5,
+                     "no-oracle"),
+            BenchRow(3, 12, "star", "uniform", 1, None, None, None, 0, 0, 7.8, "state-limit"),
+        ))
+        json_rows = json.loads(report_to_json(report))["rows"]
+        csv_rows = list(csv.reader(io.StringIO(report_to_csv(report))))
+        assert csv_rows[0] == list(json_rows[0])
+        for line, row in zip(csv_rows[1:4], json_rows):
+            assert line == [str(v) for v in row.values()]
+        assert json_rows[2]["opt"] == json_rows[2]["ratio"] == ""
+        assert json_rows[0]["runtime_ms"] == 1.235
 
 
 class TestBenchConfig:

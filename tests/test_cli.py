@@ -203,6 +203,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["solve", "exact", "rank", "eval", "trace"])
+    def test_cost_too_long_to_print_is_1(self, command, tmp_path):
+        # Each cost has as many digits as the interpreter prints; their sum has one more.
+        nines = "9" * sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"n": 2, "edges": [[1, 2]], "costs": ["{nines}", "{nines}"]}}')
+        tree = tmp_path / "tree.json"
+        tree.write_text('{"root": 1, "children": {"1": [2]}}')
+        extra = {"eval": ["--tree", str(tree)], "trace": ["--tree", str(tree), "--target", "2"]}
+        proc = run_process([command, "--input", str(path), *extra.get(command, [])])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "error:" in proc.stderr and "digits" in proc.stderr
+
     def test_non_utf8_tree_is_1(self, inst_file, tmp_path):
         tree = tmp_path / "tree.json"
         tree.write_bytes(b"\xff\xfe")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import treesearch
 from treesearch import (
     DecisionTree,
+    QuerySequence,
     create_decision_tree,
     evaluate_cost,
     normalize,
@@ -368,9 +369,10 @@ class TestWithinIds:
 def _run_briefly(call: str) -> str:
     """Run ``call`` in a fresh interpreter with a timeout; print its error type."""
     script = (
-        "from treesearch import DecisionTree, query_sequence, tree_instance\n"
+        "from treesearch import DecisionTree, attach_subtree, query_sequence, tree_instance\n"
         "from treesearch.errors import TreeSearchError\n"
         "P3 = tree_instance(3, [(1, 2), (2, 3)], [1, 2, '5/7'])\n"
+        "P5 = tree_instance(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [1] * 5)\n"
         "try:\n"
         f"    {call}\n"
         "except TreeSearchError as exc:\n"
@@ -389,6 +391,20 @@ class TestCyclicChildMaps:
 
     def test_query_sequence(self):
         call = "query_sequence(P3, DecisionTree(1, {1: (2,), 2: (3,), 3: (2,)}), 2)"
+        assert _run_briefly(call) == "DuplicateVertex"
+
+    def test_query_sequence_on_a_cycle_away_from_the_root(self):
+        call = "query_sequence(P3, DecisionTree(1, {2: (3,), 3: (2,)}), 2)"
+        assert _run_briefly(call) == "MissingVertex"
+
+    def test_attach_to_a_cyclic_strategy(self):
+        call = ("attach_subtree(DecisionTree(2, {2: (1, 3), 3: (2,)}), P5, {4, 5},"
+                " DecisionTree(4, {4: (5,)}))")
+        assert _run_briefly(call) == "DuplicateVertex"
+
+    def test_attach_a_cyclic_part(self):
+        call = ("attach_subtree(DecisionTree(2, {2: (1, 3)}), P5, {4, 5},"
+                " DecisionTree(4, {4: (5,), 5: (4,)}))")
         assert _run_briefly(call) == "DuplicateVertex"
 
 
@@ -506,6 +522,59 @@ class TestStrategyCheckAgainstReference:
             (path, DecisionTree(n, {i + 1: (i,) for i in range(1, n)})),
         ]:
             assert evaluate_cost(instance, d) == oracles.reference_evaluate_cost(instance, d)
+
+
+def _mutated_child_map(inst, data):
+    """A valid strategy for ``inst``, then 0-3 mutations of its child lists."""
+    d = BUILDERS[data.draw(st.sampled_from(sorted(BUILDERS)))](inst)
+    root, children = d.root, {q: list(kids) for q, kids in d.children.items()}
+    for _ in range(data.draw(st.integers(0, 3))):
+        verts = sorted({root}.union(*children.values()))
+        edges = [(q, c) for q in sorted(children) for c in children[q]]
+        kind = data.draw(st.sampled_from(["twice", "through-root", "away", "drop"]))
+        if kind == "twice":
+            q, c = data.draw(st.sampled_from(verts)), data.draw(st.sampled_from(verts))
+            children.setdefault(q, []).append(c)
+        elif kind == "through-root":
+            children.setdefault(data.draw(st.sampled_from(verts)), []).append(root)
+        elif kind == "away" and edges:  # move a vertex below itself or below a descendant
+            q, c = data.draw(st.sampled_from(edges))
+            children[q].remove(c)
+            below = [c]
+            for v in below:
+                below.extend(k for k in children.get(v, ()) if k not in below)
+            children.setdefault(data.draw(st.sampled_from(below)), []).append(c)
+        elif kind == "drop" and edges:
+            q, c = data.draw(st.sampled_from(edges))
+            children[q].remove(c)
+    return DecisionTree(root, children)
+
+
+class TestStrategyWalkAgainstReference:
+    """``DecisionTree``'s one checked walk against the separate passes it replaced."""
+
+    @given(any_tree_instances(max_n=12), st.data())
+    @settings(max_examples=300)
+    def test_same_values_or_documented_errors(self, inst, data):
+        d = _mutated_child_map(inst, data)
+        listed = [d.root] + [c for kids in d.children.values() for c in kids]
+        targets = sorted(set(listed)) + [0, inst.n + 1]
+        if len(set(listed)) < len(listed):  # every view refuses a vertex listed twice
+            for view in ("parent_map", "order", "vertex_set", "depth"):
+                assert oracles.outcome(getattr, d, view) is DuplicateVertex
+            for x in targets:
+                assert oracles.outcome(query_sequence, inst, d, x) is DuplicateVertex
+            return
+        assert d.vertex_set == oracles.reference_vertex_set(d)
+        assert d.parent_map == {d.root: 0, **oracles.reference_parent_map(d)}
+        assert d.depth == oracles.reference_depth(d)
+        for x in targets:
+            got = oracles.outcome(query_sequence, inst, d, x)
+            want = oracles.outcome(oracles.reference_query_sequence, inst, d, x)
+            assert isinstance(want, QuerySequence) == (x in d.order)
+            if want is DuplicateVertex:  # the parent chain of x closes a cycle
+                want = MissingVertex
+            assert got == want
 
 
 class TestEvaluateCost:
