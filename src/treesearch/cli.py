@@ -176,8 +176,16 @@ def _add_io(sub, output=True):
         sub.add_argument("--output", help="write result here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid input, so they exit 1 rather than argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treesearch",
         description="Search strategies for trees with non-uniform query costs.",
     )

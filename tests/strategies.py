@@ -39,3 +39,16 @@ def shuffled_tree_instances(draw, **kwargs):
 def any_tree_instances(**kwargs):
     """``tree_instances`` with attachment ids or with shuffled ids."""
     return st.one_of(tree_instances(**kwargs), shuffled_tree_instances(**kwargs))
+
+
+@st.composite
+def path_instances(draw, min_n=1, max_n=12):
+    """Paths with shuffled ids; costs often equal, or fractions of mixed denominators."""
+    n = draw(st.integers(min_n, max_n))
+    ids = draw(st.permutations(range(1, n + 1)))
+    cost = st.one_of(
+        st.sampled_from([1, 2, 3]),
+        st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7),
+    )
+    costs = draw(st.lists(cost, min_size=n, max_size=n))
+    return tree_instance(n, list(zip(ids, ids[1:])), costs)

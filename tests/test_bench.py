@@ -58,6 +58,14 @@ class TestRunBench:
             assert row.opt is None
             assert row.ratio is None
             assert row.approx_cost is not None
+            assert row.approx_ms > 0
+            assert row.oracle_ms == 0
+
+    def test_oracle_timed_apart(self):
+        report = run_bench(BenchConfig(count=6, n_range=(4, 10), seed=9))
+        for row in report.rows:
+            assert row.approx_ms > 0
+            assert row.oracle_ms > 0
 
     def test_deterministic(self):
         config = BenchConfig(count=10, n_range=(2, 10), seed=21)
@@ -100,10 +108,11 @@ class TestReports:
     def test_csv_columns_are_the_json_row_fields(self):
         report = BenchReport((
             BenchRow(1, 7, "path", "uniform", 1, Fraction(3), Fraction(3), Fraction(1),
-                     0, 0, 1.23456, "ok"),
-            BenchRow(2, 20, "star", "random", 2, None, Fraction(22, 7), None, 1, 9, 0.5,
+                     0, 0, 1.23456, 0.98765, "ok"),
+            BenchRow(2, 20, "star", "random", 2, None, Fraction(22, 7), None, 1, 9, 0.5, 0.0,
                      "no-oracle"),
-            BenchRow(3, 12, "star", "uniform", 1, None, None, None, 0, 0, 7.8, "state-limit"),
+            BenchRow(3, 12, "star", "uniform", 1, None, None, None, 0, 0, 7.8, 0.0,
+                     "state-limit"),
         ))
         json_rows = json.loads(report_to_json(report))["rows"]
         csv_rows = list(csv.reader(io.StringIO(report_to_csv(report))))
@@ -111,7 +120,8 @@ class TestReports:
         for line, row in zip(csv_rows[1:4], json_rows):
             assert line == [str(v) for v in row.values()]
         assert json_rows[2]["opt"] == json_rows[2]["ratio"] == ""
-        assert json_rows[0]["runtime_ms"] == 1.235
+        assert json_rows[0]["approx_ms"] == 1.235
+        assert json_rows[0]["oracle_ms"] == 0.988
 
 
 class TestBenchConfig:

@@ -170,20 +170,56 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "error:" in proc.stderr and "eps" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [["exact"], ["trace", "--input", "x.json", "--tree",
+                                                  "t.json", "--target", "x"], ["nope"]])
+    def test_usage_error_is_1(self, argv):
+        proc = run_process(argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
+
     def test_bench_empty_size_range_is_1(self):
         proc = run_process(["bench", "--count", "1", "--n-min", "9", "--n-max", "3"])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "n_range" in proc.stderr
 
-    def test_deep_exact_path_is_2(self, tmp_path):
-        path = tmp_path / "path.json"
-        assert main(["gen", "--shape", "path", "--cost-model", "uniform",
-                     "--n", "1200", "--output", str(path)]) == 0
+    def test_deep_exact_non_path_is_2(self, tmp_path):
+        n = 1500
+        edges = [[i, i + 1] for i in range(1, n)] + [[n // 2, n + 1]]
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"n": n + 1, "edges": edges, "costs": [1] * (n + 1)}))
         proc = run_process(["exact", "--input", str(path)])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "recursion depth" in proc.stderr
+
+    def test_exact_path_below_interval_budget_is_2(self, tmp_path, capsys):
+        path = tmp_path / "path.json"
+        assert main(["gen", "--shape", "path", "--cost-model", "uniform",
+                     "--n", "40", "--output", str(path)]) == 0
+        intervals = 40 * 39 // 2
+        proc = run_process(["exact", "--input", str(path), "--state-limit", str(intervals - 1)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr and "interval states" in proc.stderr
+        doc = run_json(capsys, ["exact", "--input", str(path), "--state-limit", str(intervals)])
+        assert doc["opt"] == "6"
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "exact", "eval", "rank", "kmod",
+                                         "export-dot", "trace"])
+    @pytest.mark.parametrize("instance", ["missing", "malformed"])
+    def test_bad_instance_is_1(self, command, instance, tmp_path):
+        path = tmp_path / "instance.json"
+        if instance == "malformed":
+            path.write_text('{"n": 3, "edges": [[1, 2]], "costs": [1, 1, 1]}')
+        tree = tmp_path / "tree.json"
+        tree.write_text('{"root": 1, "children": {"1": [2]}}')
+        extra = {"eval": ["--tree", str(tree)], "trace": ["--tree", str(tree), "--target", "2"]}
+        proc = run_process([command, "--input", str(path), *extra.get(command, [])])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "error:" in proc.stderr
 
     @pytest.mark.parametrize(
         "content",

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesearch import (
     SolveLimits,
@@ -15,10 +16,11 @@ from treesearch import (
     tree_instance,
     validate_decision_tree,
 )
+from treesearch.core import rooted_order
 from treesearch.errors import InvalidParameters, NotConnected, StateLimitExceeded
 
 import oracles
-from strategies import any_tree_instances, tree_instances
+from strategies import any_tree_instances, path_instances, tree_instances
 
 # Exact optimum of the reference instance; the worked strategy D_FIX2
 # costs 11/5, the optimum is strictly better.  Cross-checked against the
@@ -108,32 +110,93 @@ class TestOptExact:
         with pytest.raises(InvalidParameters):
             SolveLimits(max_states=0)
 
-    def test_deep_recursion_is_state_limit(self):
+    def test_deep_non_path_recursion_is_state_limit(self):
         n = 1500
-        path = tree_instance(n, [(i, i + 1) for i in range(1, n)], [1] * n)
+        edges = [(i, i + 1) for i in range(1, n)] + [(n // 2, n + 1)]
+        tree = tree_instance(n + 1, edges, [1] * (n + 1))
         with pytest.raises(StateLimitExceeded, match="recursion depth"):
-            opt_exact(path)
+            opt_exact(tree)
+
+    def test_long_uniform_path_solves(self):
+        n = 300
+        path = tree_instance(n, [(i, i + 1) for i in range(1, n)], [1] * n)
+        opt, witness = opt_exact(path)
+        assert opt == math.floor(math.log2(n)) + 1
+        validate_decision_tree(path, witness)
+        assert evaluate_cost(path, witness) == opt
 
 
-def _outcome(solver, inst, limits):
+def _outcome(solver, inst, limits, within=None):
     try:
-        value, witness = solver(inst, limits=limits)
+        value, witness = solver(inst, limits=limits, within=within)
     except StateLimitExceeded:
         return "state-limit"
     return value, witness.root, witness.children
 
 
+def _is_path(inst) -> bool:
+    return all(len(inst.adjacency[v]) <= 2 for v in inst.vertex_set)
+
+
+@st.composite
+def sub_paths(draw):
+    """An instance and the vertices of the tree path between two of its vertices."""
+    inst = draw(any_tree_instances(min_n=2, max_n=12))
+    u = draw(st.integers(1, inst.n))
+    v = draw(st.integers(1, inst.n))
+    _order, parent = rooted_order(inst, inst.vertex_set, u)
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    return inst, frozenset(path)
+
+
+def _check_path_budgets(inst, within=None):
+    """Every budget from 1 to ``m(m+1)/2`` on a path of ``m`` vertices.
+
+    The path solve fails exactly below ``m(m-1)/2``, never where the
+    reference succeeds, and otherwise gives the reference's value and
+    witness.
+    """
+    m = len(inst.subset(within))
+    expected = _outcome(oracles.reference_opt_exact, inst, None, within)
+    for max_states in range(1, m * (m + 1) // 2 + 1):
+        limits = SolveLimits(max_states)
+        new = _outcome(opt_exact, inst, limits, within)
+        assert new == ("state-limit" if max_states < m * (m - 1) // 2 else expected)
+        ref = _outcome(oracles.reference_opt_exact, inst, limits, within)
+        if ref != "state-limit":
+            assert new == ref
+
+
 class TestAgainstSearchSolver:
-    """The edge-side solver memoises the same sets as the search-based one."""
+    """The edge-side solver memoises the same sets as the search-based one.
+
+    Paths are solved apart and count ``m(m-1)/2`` interval states, so on a
+    path only results, and the rule that the new solver never fails where
+    the reference succeeds, are compared.
+    """
 
     @given(any_tree_instances(max_n=12))
     @settings(max_examples=60, deadline=None)
     def test_same_value_witness_and_limit(self, inst):
         for max_states in (8, 64, 512, None):
             limits = SolveLimits(max_states) if max_states else None
-            assert _outcome(opt_exact, inst, limits) == _outcome(
-                oracles.reference_opt_exact, inst, limits
-            )
+            ref = _outcome(oracles.reference_opt_exact, inst, limits)
+            if ref == "state-limit" and _is_path(inst):
+                continue  # paths count intervals only; see test_paths_every_budget
+            assert _outcome(opt_exact, inst, limits) == ref
+
+    @given(path_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_paths_every_budget(self, inst):
+        _check_path_budgets(inst)
+
+    @given(sub_paths())
+    @settings(max_examples=40, deadline=None)
+    def test_sub_paths_every_budget(self, drawn):
+        inst, within = drawn
+        _check_path_budgets(inst, within)
 
     @given(any_tree_instances(min_n=2, max_n=12))
     @settings(max_examples=30, deadline=None)
