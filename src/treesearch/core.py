@@ -64,8 +64,6 @@ from .errors import (
     VertexNotInCandidate,
 )
 
-VertexSet = frozenset
-
 
 @dataclass(frozen=True)
 class TreeInstance:

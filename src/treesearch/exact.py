@@ -14,16 +14,15 @@ fails fast once it is exhausted.
 
 A path (every vertex with at most two sides) has only its intervals as
 connected subsets, so it is solved apart: a bottom-up interval table,
-filled by length with no recursion and no memo dict, gives the same
-values and witnesses as the general recursion.
+filled in O(m²) time by two sliding-window minima with no recursion,
+gives the same values and witnesses as the general recursion.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
 
 from .core import DecisionTree, TreeInstance, rooted_order
 from .errors import InvalidParameters, NotConnected, StateLimitExceeded
@@ -172,18 +171,18 @@ def opt_exact(
 def _solve_path(order, parent, weights, max_states: int):
     """Optimum, root and child map of the path whose rooted ``order`` is given.
 
-    The vertices are laid out along the path as positions ``0..m-1``;
-    ``opt_from[s][e]`` and ``opt_to[e][s]`` both hold the optimum of the
-    half-open interval ``[s, e)`` (0 when empty), one row per fixed end so
-    both parts of every candidate are slices of one row, and ``pick[e][s]``
-    its chosen position.  An interval never costs more than one containing
-    it, so as the query moves right its left part's optimum never
-    decreases and its right part's never increases.  The best total starts
-    at the choice for ``[s, e - 1)``; candidates whose right part alone
-    reaches it are skipped by bisection, the rest are scanned left to
-    right, and the scan stops once the left part alone reaches the best
-    total, after which no query can even tie.  Equal totals go to the
-    smallest vertex id, as in the general recursion.
+    With the vertices at positions ``0..m-1`` along the path, ``opt[s][e]``
+    is the optimum of ``[s, e)`` (0 when empty) and ``pick[e][s]`` its
+    chosen position.  Query ``k`` costs ``w_k`` plus the larger of
+    ``opt[s][k]`` and ``opt[k + 1][e]``.  No interval costs more than one
+    containing it, so if ``c`` is the first ``k`` whose left part is at
+    least its right part, queries in ``[s, c)`` pay their right part and
+    those in ``[c, e)`` their left part, and ``c`` moves only right as
+    ``e`` grows and only left as ``s`` falls.  Filled with ``e`` ascending
+    and ``s`` descending, both ranges are sliding windows whose minima
+    monotone deques keep, keyed ``total * len(weights) + vertex id`` so
+    equal totals go to the smallest id, as in the general recursion.
+    That is amortised O(1) per interval, O(m²) in all.
     """
     m = len(order)
     states = m * (m - 1) // 2
@@ -199,39 +198,47 @@ def _solve_path(order, parent, weights, max_states: int):
         line.append(parent[line[-1]])
     on_line = set(line)
     line += [v for v in order if v not in on_line]
-    weight = [weights[v] for v in line]
+    scale = len(weights)
+    where = {v: k for k, v in enumerate(line)}
+    alone = [weights[v] * scale + v for v in line]
 
-    opt_from = [[0] * (m + 1) for _ in range(m)]
-    opt_to = [[0] * (e + 1) for e in range(m + 1)]
+    opt = [[0] * (m + 1) for _ in range(m + 1)]
     pick = [[0] * (e + 1) for e in range(m + 1)]
-    for s in range(m):
-        opt_from[s][s + 1] = opt_to[s + 1][s] = weight[s]
-        pick[s + 1][s] = s
-    for length in range(2, m + 1):
-        for s in range(m - length + 1):
-            e = s + length
-            left_of = opt_from[s]
-            right_of = opt_to[e]
-            chosen = pick[e - 1][s]
-            left, right = left_of[chosen], right_of[chosen + 1]
-            best = weight[chosen] + (left if left > right else right)
-            first = line[chosen]
-            start = bisect_right(right_of, -best, s + 1, e, key=neg) - 1
-            for k, left, wk, right, v in zip(
-                range(start, e), left_of[start:e], weight[start:e],
-                right_of[start + 1 : e + 1], line[start:e],
-            ):
-                if left >= best:
-                    break  # so is every later left part, and a query adds to it
-                if wk >= best:
-                    continue  # the other parts cost at least one more query
-                total = wk + (left if left > right else right)
-                if total < best or (total == best and v < first):
-                    best = total
-                    chosen = k
-                    first = v
-            left_of[e] = right_of[s] = best
-            pick[e][s] = chosen
+    cut = list(range(m))
+    tails = [deque() for _ in range(m)]  # per s, the window [c, e)
+    for e in range(1, m + 1):
+        pick_e = pick[e]
+        added = alone[e - 1]
+        head = deque()  # the window [s, c)
+        for s in range(e - 1, -1, -1):
+            from_s = opt[s]
+            key = from_s[e - 1] * scale + added
+            tail = tails[s]
+            while tail and tail[-1] > key:
+                tail.pop()
+            tail.append(key)
+            c = cut[s]
+            if from_s[c] < opt[c + 1][e]:
+                c += 1
+                while from_s[c] < opt[c + 1][e]:
+                    c += 1
+                cut[s] = c
+                while where[tail[0] % scale] < c:
+                    tail.popleft()
+            best = tail[0]
+            if c > s:
+                key = opt[s + 1][e] * scale + alone[s]
+                while head and head[-1] > key:
+                    head.pop()
+                head.append(key)
+                while where[head[0] % scale] >= c:
+                    head.popleft()
+                if head[0] < best:
+                    best = head[0]
+            elif head:
+                head.clear()
+            from_s[e] = best // scale
+            pick_e[s] = where[best % scale]
 
     # Children in order of their smallest vertex, as the recursion lists them.
     children: dict[int, tuple[int, ...]] = {}
@@ -245,4 +252,4 @@ def _solve_path(order, parent, weights, max_states: int):
         if parts:
             children[line[k]] = tuple(line[pick[b][a]] for a, b in parts)
             stack.extend(parts)
-    return opt_from[0][m], line[pick[m][0]], children
+    return opt[0][m], line[pick[m][0]], children

@@ -9,7 +9,8 @@ cost is a JSON integer or a string, converted as
 the interpreter's digit limit (:func:`sys.get_int_max_str_digits`) for
 both the exponent and the value.
 
-Strategy document: ``{"root": int, "children": {"<id>": [ids...]}}``.
+Strategy document: ``{"root": int, "children": {"<id>": [ids...]}}``,
+each ``<id>`` an integer as ``str`` writes it and no key repeated.
 Serialization is canonical, so equal values produce byte-identical
 text: the text ``json.dumps(doc, indent=2)`` gives, written directly.
 Every malformed document, including text that is not UTF-8, nesting too
@@ -25,13 +26,23 @@ from .core import DecisionTree, TreeInstance, validate_instance
 from .errors import InvalidCost, ParseError
 
 
-def _load_json(text: str):
+def _load_json(text: str, object_pairs_hook=None):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """An object's pairs as a dict, refusing a key the object repeats."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"key {key!r} is repeated in one object")
+        doc[key] = value
+    return doc
 
 
 def _read_text(path) -> str:
@@ -90,8 +101,13 @@ def serialize_instance(inst: TreeInstance) -> str:
 
 
 def parse_decision_tree(text: str) -> DecisionTree:
-    """Parse a strategy document (no instance-level validation)."""
-    doc = _load_json(text)
+    """Parse a strategy document (no instance-level validation).
+
+    A child key must be an integer written as ``str`` writes it (no sign
+    but ``-``, no padding, underscores or leading zeros), and no object
+    may repeat a key, so each query's child list is read exactly once.
+    """
+    doc = _load_json(text, _unique_keys)
     if not isinstance(doc, dict):
         raise ParseError("strategy document must be a JSON object")
     try:
@@ -107,8 +123,10 @@ def parse_decision_tree(text: str) -> DecisionTree:
     for key, kids in children.items():
         try:
             q = int(key)
-        except ValueError as exc:
-            raise ParseError(f"child key {key!r} is not an integer") from exc
+        except ValueError:
+            q = None
+        if str(q) != key:
+            raise ParseError(f"child key {key!r} is not an integer as str() writes it")
         if not isinstance(kids, list) or not all(
             isinstance(k, int) and not isinstance(k, bool) for k in kids
         ):

@@ -5,7 +5,9 @@ enumerated or recursed over directly from the definitions, with no
 memoisation, bitmasks, or pruning.  The exceptions are earlier versions
 of package functions, kept as slow paths that the fast ones must
 reproduce: ``reference_opt_exact`` (the bitmask solver that finds
-components by search), ``reference_k_up_modularity`` (one heavy-module
+components by search), ``reference_solve_path`` (the path solve that
+scans each interval's candidates left to right, in O(m³) worst-case
+time), ``reference_k_up_modularity`` (one heavy-module
 scan per distinct cost, comparing rational costs directly) and
 ``reference_attach_subtree`` (the graft that rebuilds whole-strategy
 maps and splits the whole tree on every call, reading the strategy
@@ -29,7 +31,9 @@ returning its own strategy for the level above to graft, here through
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from operator import neg
 from typing import Mapping
 
 from treesearch import DecisionTree, SolveLimits, split_components, tree_instance
@@ -332,6 +336,85 @@ def reference_opt_exact(
 
     root = rebuild(full)
     return Fraction(value, denom), DecisionTree(root, children)
+
+
+def reference_solve_path(order, parent, weights, max_states: int):
+    """Optimum, root and child map of the path whose rooted ``order`` is given.
+
+    The vertices are laid out along the path as positions ``0..m-1``;
+    ``opt_from[s][e]`` and ``opt_to[e][s]`` both hold the optimum of the
+    half-open interval ``[s, e)`` (0 when empty), one row per fixed end so
+    both parts of every candidate are slices of one row, and ``pick[e][s]``
+    its chosen position.  An interval never costs more than one containing
+    it, so as the query moves right its left part's optimum never
+    decreases and its right part's never increases.  The best total starts
+    at the choice for ``[s, e - 1)``; candidates whose right part alone
+    reaches it are skipped by bisection, the rest are scanned left to
+    right, and the scan stops once the left part alone reaches the best
+    total, after which no query can even tie.  Equal totals go to the
+    smallest vertex id, as in the general recursion.
+    """
+    m = len(order)
+    states = m * (m - 1) // 2
+    if states > max_states:
+        raise StateLimitExceeded(
+            f"exact solve of a {m}-vertex path needs {states} interval states,"
+            f" more than the budget of {max_states}"
+        )
+    # The last vertex reached from the root ends one branch; the other
+    # branch follows the root in breadth-first order, nearest first.
+    line = [order[-1]]
+    while line[-1] != order[0]:
+        line.append(parent[line[-1]])
+    on_line = set(line)
+    line += [v for v in order if v not in on_line]
+    weight = [weights[v] for v in line]
+
+    opt_from = [[0] * (m + 1) for _ in range(m)]
+    opt_to = [[0] * (e + 1) for e in range(m + 1)]
+    pick = [[0] * (e + 1) for e in range(m + 1)]
+    for s in range(m):
+        opt_from[s][s + 1] = opt_to[s + 1][s] = weight[s]
+        pick[s + 1][s] = s
+    for length in range(2, m + 1):
+        for s in range(m - length + 1):
+            e = s + length
+            left_of = opt_from[s]
+            right_of = opt_to[e]
+            chosen = pick[e - 1][s]
+            left, right = left_of[chosen], right_of[chosen + 1]
+            best = weight[chosen] + (left if left > right else right)
+            first = line[chosen]
+            start = bisect_right(right_of, -best, s + 1, e, key=neg) - 1
+            for k, left, wk, right, v in zip(
+                range(start, e), left_of[start:e], weight[start:e],
+                right_of[start + 1 : e + 1], line[start:e],
+            ):
+                if left >= best:
+                    break  # so is every later left part, and a query adds to it
+                if wk >= best:
+                    continue  # the other parts cost at least one more query
+                total = wk + (left if left > right else right)
+                if total < best or (total == best and v < first):
+                    best = total
+                    chosen = k
+                    first = v
+            left_of[e] = right_of[s] = best
+            pick[e][s] = chosen
+
+    # Children in order of their smallest vertex, as the recursion lists them.
+    children: dict[int, tuple[int, ...]] = {}
+    stack = [(0, m)]
+    while stack:
+        s, e = stack.pop()
+        k = pick[e][s]
+        parts = [(a, b) for a, b in ((s, k), (k + 1, e)) if a < b]
+        if len(parts) == 2 and min(line[k + 1 : e]) < min(line[s:k]):
+            parts.reverse()
+        if parts:
+            children[line[k]] = tuple(line[pick[b][a]] for a, b in parts)
+            stack.extend(parts)
+    return opt_from[0][m], line[pick[m][0]], children
 
 
 def reference_heavy_modules(inst, threshold, within=None):

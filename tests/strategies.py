@@ -52,3 +52,25 @@ def path_instances(draw, min_n=1, max_n=12):
     )
     costs = draw(st.lists(cost, min_size=n, max_size=n))
     return tree_instance(n, list(zip(ids, ids[1:])), costs)
+
+
+@st.composite
+def rooted_paths(draw, min_n=2, max_n=150):
+    """A path with shuffled ids and any of its vertices as root.
+
+    Costs come from {1, 2, 3}, from 1..1000, from fractions with
+    denominator at most 7, or are all equal.
+    """
+    n = draw(st.integers(min_n, max_n))
+    ids = draw(st.permutations(range(1, n + 1)))
+    model = draw(st.sampled_from(["small", "wide", "fractions", "equal"]))
+    if model == "equal":
+        costs = [draw(st.integers(1, 5))] * n
+    else:
+        cost = {
+            "small": st.sampled_from([1, 2, 3]),
+            "wide": st.integers(1, 1000),
+            "fractions": st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7),
+        }[model]
+        costs = draw(st.lists(cost, min_size=n, max_size=n))
+    return tree_instance(n, list(zip(ids, ids[1:])), costs), draw(st.integers(1, n))

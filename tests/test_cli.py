@@ -19,11 +19,11 @@ from treesearch import DecisionTree, parse_instance
 from treesearch.cli import _emit_json, main
 
 
-def run_process(argv):
+def run_process(argv, timeout=120):
     """Run the CLI in a fresh interpreter, so uncaught errors show as tracebacks."""
     env = dict(os.environ, PYTHONPATH=str(Path(treesearch.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "treesearch", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture
@@ -252,6 +252,34 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
         assert "error:" in proc.stderr and "digits" in proc.stderr
+
+    @pytest.mark.parametrize("form", ["repeated", "leading-zero", "spaces"])
+    def test_bad_tree_keys_are_1(self, inst_file, tmp_path, capsys, form):
+        # Read as integers, last copy winning, each document is the optimal strategy.
+        doc = run_json(capsys, ["exact", "--input", str(inst_file)])["tree"]
+        root = doc["root"]
+        entries = [f'"{q}": {json.dumps(kids)}' for q, kids in doc["children"].items()]
+        if form == "repeated":
+            entries.insert(0, f'"{root}": [{root}]')
+        else:
+            key = {"leading-zero": f"0{root}", "spaces": f" {root} "}[form]
+            entries = [e.replace(f'"{root}":', f'"{key}":', 1) for e in entries]
+        tree = tmp_path / "tree.json"
+        tree.write_text(f'{{"root": {root}, "children": {{{", ".join(entries)}}}}}')
+        proc = run_process(["eval", "--input", str(inst_file), "--tree", str(tree)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "error:" in proc.stderr
+
+    def test_long_uniform_path_exact_is_0(self, tmp_path):
+        # The O(m³) candidate scan the window fill replaced needs tens of seconds on this path.
+        n = 1200
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(
+            {"n": n, "edges": [[i, i + 1] for i in range(1, n)], "costs": [1] * n}))
+        proc = run_process(["exact", "--input", str(path)], timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["opt"] == "11"
 
     def test_non_utf8_tree_is_1(self, inst_file, tmp_path):
         tree = tmp_path / "tree.json"

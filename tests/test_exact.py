@@ -18,9 +18,10 @@ from treesearch import (
 )
 from treesearch.core import rooted_order
 from treesearch.errors import InvalidParameters, NotConnected, StateLimitExceeded
+from treesearch.exact import _solve_path
 
 import oracles
-from strategies import any_tree_instances, path_instances, tree_instances
+from strategies import any_tree_instances, path_instances, rooted_paths, tree_instances
 
 # Exact optimum of the reference instance; the worked strategy D_FIX2
 # costs 11/5, the optimum is strictly better.  Cross-checked against the
@@ -204,3 +205,17 @@ class TestAgainstSearchSolver:
         rng = random.Random(inst.n)
         sub = oracles.random_connected_subset(inst, rng.randint(1, inst.n), rng)
         assert opt_exact(inst, within=sub) == oracles.reference_opt_exact(inst, within=sub)
+
+
+class TestPathSolveAgainstScan:
+    """The sliding-window path solve against the candidate scan it replaced."""
+
+    @given(rooted_paths())
+    @settings(max_examples=150, deadline=None)
+    def test_same_value_root_and_children(self, drawn):
+        inst, root = drawn
+        order, parent = rooted_order(inst, inst.vertex_set, root)
+        budget = inst.n * inst.n
+        assert _solve_path(order, parent, inst.weights, budget) == (
+            oracles.reference_solve_path(order, parent, inst.weights, budget)
+        )

@@ -206,11 +206,30 @@ class TestStrategyRoundTrip:
             '{"root": "1", "children": {}}',
             '{"root": 1, "children": {"a": [2]}}',
             '{"root": 1, "children": {"1": "2"}}',
+            '{"root": 1, "children": {"1": [2], "01": [3]}}',
+            '{"root": 1, "children": {"1": [2], "1": [3]}}',
+            '{"root": 1, "root": 2, "children": {}}',
+            '{"root": 1, "children": {"1": [2]}, "children": {"1": [3]}}',
         ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ParseError):
             parse_decision_tree(text)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["01", "1_0", " 1 ", "+1", "-0", "1.0", "\u0661", "1" * 5000],
+        ids=["leading-zero", "underscore", "padded", "plus", "minus-zero", "decimal",
+             "arabic-indic-digit", "past-digit-limit"],
+    )
+    def test_child_key_not_as_str_writes_it_rejected(self, key):
+        doc = json.dumps({"root": 1, "children": {key: [2]}})
+        with pytest.raises(ParseError, match="child key"):
+            parse_decision_tree(doc)
+
+    def test_negative_and_multi_digit_keys_accepted(self):
+        d = parse_decision_tree('{"root": 10, "children": {"10": [-3], "-3": [120]}}')
+        assert d == DecisionTree(10, {10: (-3,), -3: (120,)})
 
     @pytest.mark.parametrize(
         "text",
