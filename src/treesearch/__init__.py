@@ -26,7 +26,6 @@ from .core import (
     QuerySequence,
     TreeInstance,
     evaluate_cost,
-    normalize,
     query_sequence,
     split_components,
     tree_instance,
@@ -84,7 +83,6 @@ __all__ = [
     "is_valid_ranking",
     "k_up_modularity",
     "load_instance",
-    "normalize",
     "opt_exact",
     "parse_decision_tree",
     "parse_instance",

@@ -53,10 +53,10 @@ from fractions import Fraction
 from .core import (
     DecisionTree,
     TreeInstance,
+    evaluate_cost,
     induced_components,
     rooted_order,
     tree_instance,
-    validate_decision_tree,
 )
 from .errors import (
     BranchOccupied,
@@ -67,6 +67,7 @@ from .errors import (
     NotAPath,
     NotConnected,
     QueryOutsideCandidate,
+    StateLimitExceeded,
     TreeSearchError,
 )
 from .exact import SolveLimits, opt_exact
@@ -134,11 +135,12 @@ class LevelRecord:
 
 @dataclass(frozen=True)
 class ApproxStats:
-    """Per-run statistics: recursion depth and one record per separator."""
+    """Per-run statistics: recursion depth, one record per separator, strategy cost."""
 
     depth_d: int
     schedule: CostLevelSchedule | None
     records: tuple[LevelRecord, ...]
+    cost: Fraction
 
     @property
     def max_aux_size(self) -> int:
@@ -389,13 +391,16 @@ def create_decision_tree(
 
     Returns the validated strategy together with run statistics: the
     recursion depth ``depth_d`` (number of level descents on the deepest
-    branch that did real work) and one :class:`LevelRecord` per separator
+    branch that did real work), one :class:`LevelRecord` per separator
     construction, whose ``lower``/``upper`` are the interval ends relative
-    to the maximum cost.  Exact auxiliary solves share the given ``limits``.
+    to the maximum cost, and the strategy's ``cost`` from the one
+    :func:`evaluate_cost` that checks it.  Exact auxiliary solves share
+    the given ``limits``; one that runs out raises :class:`StateLimitExceeded`
+    naming the level, the region size and the auxiliary tree size.
     """
     n = inst.n
     if n == 1:
-        return DecisionTree(1, {}), ApproxStats(0, None, ())
+        return DecisionTree(1, {}), ApproxStats(0, None, (), inst.costs[0])
 
     schedule = cost_levels(n)
     records: list[LevelRecord] = []
@@ -416,7 +421,11 @@ def create_decision_tree(
 
         seps = separator_sets(inst, region, threshold)
         aux = auxiliary_tree(inst, seps.separators)
-        _cost_z, aux_dt = opt_exact(aux.instance, limits=limits)
+        try:
+            _cost_z, aux_dt = opt_exact(aux.instance, limits=limits)
+        except StateLimitExceeded as exc:
+            raise StateLimitExceeded(f"level {level}, region of {len(region)} vertices, "
+                                     f"auxiliary tree of {len(aux.vertices)}: {exc}") from exc
         back = aux.vertices
         aux_dt = DecisionTree(
             back[aux_dt.root - 1],
@@ -460,5 +469,4 @@ def create_decision_tree(
 
     depth_d = recurse(inst.vertex_set, schedule.count - 1)
     dtree = strategy.tree()
-    validate_decision_tree(inst, dtree)
-    return dtree, ApproxStats(depth_d, schedule, tuple(records))
+    return dtree, ApproxStats(depth_d, schedule, tuple(records), evaluate_cost(inst, dtree))

@@ -1,12 +1,12 @@
 """Benchmark harness: empirical quality of the level-recursion strategy.
 
-Each row runs the full construction on one generated instance, validates
-and prices the result, and (for instances small enough to solve exactly)
-records the exact optimum and the resulting approximation ratio.  The
-build and its pricing are timed apart from the exact oracle.  All
-cost figures stay exact rationals; a row violates the quality bound when
-its ratio exceeds ``4 * depth_d + 2``, and the aggregate counter of such
-rows must be zero.
+Each row runs the full construction on one generated instance, which
+checks and prices the result, and (for instances small enough to solve
+exactly) records the exact optimum and the resulting approximation
+ratio.  The build is timed apart from the exact oracle.  All cost
+figures stay exact rationals; a row violates the quality bound when its
+ratio exceeds ``4 * depth_d + 2``, and the aggregate counter of such rows
+must be zero.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .approx import create_decision_tree
-from .core import evaluate_cost
 from .errors import InvalidParameters, StateLimitExceeded
 from .exact import SolveLimits, opt_exact
 from .generators import COST_MODELS, SHAPES, generate_instance
@@ -58,7 +57,7 @@ class BenchRow:
     ratio: Fraction | None
     depth_d: int
     max_aux_size: int
-    approx_ms: float  # build plus evaluate_cost
+    approx_ms: float  # the build, which checks and prices the strategy
     oracle_ms: float  # the exact oracle; 0 when it did not run
     status: str  # "ok", "no-oracle", or "state-limit"
 
@@ -124,14 +123,13 @@ def run_bench(config: BenchConfig) -> BenchReport:
         k_value, _ = k_up_modularity(inst)
         started = time.perf_counter()
         try:
-            dtree, stats = create_decision_tree(inst, limits=limits)
+            _dtree, stats = create_decision_tree(inst, limits=limits)
         except StateLimitExceeded:
             rows.append(
                 BenchRow(inst_seed, n, shape, cost_model, k_value, None, None, None,
                          0, 0, (time.perf_counter() - started) * 1000.0, 0.0, "state-limit")
             )
             continue
-        approx_cost = evaluate_cost(inst, dtree)
         approx_ms = (time.perf_counter() - started) * 1000.0
         opt = ratio = None
         oracle_ms = 0.0
@@ -140,13 +138,13 @@ def run_bench(config: BenchConfig) -> BenchReport:
             started = time.perf_counter()
             try:
                 opt, _witness = opt_exact(inst, limits=limits)
-                ratio = approx_cost / opt
+                ratio = stats.cost / opt
                 status = "ok"
             except StateLimitExceeded:
                 status = "state-limit"
             oracle_ms = (time.perf_counter() - started) * 1000.0
         rows.append(
-            BenchRow(inst_seed, n, shape, cost_model, k_value, opt, approx_cost, ratio,
+            BenchRow(inst_seed, n, shape, cost_model, k_value, opt, stats.cost, ratio,
                      stats.depth_d, stats.max_aux_size, approx_ms, oracle_ms, status)
         )
     return BenchReport(tuple(rows))

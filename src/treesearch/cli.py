@@ -67,14 +67,13 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.input)
     dtree, stats = create_decision_tree(inst, limits=SolveLimits(args.state_limit))
-    cost = evaluate_cost(inst, dtree)
     if args.format == "dot":
         _write(args, export_dot(inst=inst, strategy=dtree))
     else:
         _emit_json(
             args,
             {
-                "cost": _cost_text(cost),
+                "cost": _cost_text(stats.cost),
                 "depth_d": stats.depth_d,
                 "max_aux_size": stats.max_aux_size,
             },

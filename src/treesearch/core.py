@@ -79,6 +79,9 @@ class TreeInstance:
     costs: tuple[Fraction, ...]
 
     def cost(self, v: int) -> Fraction:
+        """The cost of vertex ``v``; :class:`UnknownVertex` unless ``1 <= v <= n``."""
+        if not 1 <= v <= self.n:
+            raise UnknownVertex(f"vertex {v} is not in 1..{self.n}")
         return self.costs[v - 1]
 
     @cached_property
@@ -317,19 +320,6 @@ def validate_instance(raw: TreeInstance) -> TreeInstance:
             raise NonPositiveCost(v, c)
 
     return TreeInstance(n, tuple(edges), tuple(costs))
-
-
-def normalize(inst: TreeInstance) -> tuple[TreeInstance, Fraction]:
-    """Scale costs so the maximum is exactly 1; return (instance, scale).
-
-    The scale is the former maximum cost.  Relative cost order is
-    preserved; an already-normalized instance is returned unchanged.
-    """
-    scale = inst.max_cost
-    if scale == 1:
-        return inst, Fraction(1)
-    scaled = tuple(c / scale for c in inst.costs)
-    return TreeInstance(inst.n, inst.edges, scaled), scale
 
 
 def induced_components(inst: TreeInstance, verts) -> list[frozenset[int]]:

@@ -10,12 +10,12 @@ the interpreter's digit limit (:func:`sys.get_int_max_str_digits`) for
 both the exponent and the value.
 
 Strategy document: ``{"root": int, "children": {"<id>": [ids...]}}``,
-each ``<id>`` an integer as ``str`` writes it and no key repeated.
-Serialization is canonical, so equal values produce byte-identical
-text: the text ``json.dumps(doc, indent=2)`` gives, written directly.
-Every malformed document, including text that is not UTF-8, nesting too
-deep for the JSON decoder and JSON numbers past the interpreter's digit
-limit, raises :class:`ParseError`.
+each ``<id>`` an integer as ``str`` writes it.  In both documents no
+object may repeat a key.  Serialization is canonical, so equal values
+produce byte-identical text: the text ``json.dumps(doc, indent=2)``
+gives, written directly.  Every malformed document, including text that
+is not UTF-8, nesting too deep for the JSON decoder and JSON numbers
+past the interpreter's digit limit, raises :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .core import DecisionTree, TreeInstance, validate_instance
 from .errors import InvalidCost, ParseError
 
 
-def _load_json(text: str, object_pairs_hook=None):
+def _load_json(text: str):
     try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
@@ -107,7 +107,7 @@ def parse_decision_tree(text: str) -> DecisionTree:
     but ``-``, no padding, underscores or leading zeros), and no object
     may repeat a key, so each query's child list is read exactly once.
     """
-    doc = _load_json(text, _unique_keys)
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("strategy document must be a JSON object")
     try:

@@ -26,7 +26,9 @@ re-splitting every piece below its top-labelled vertex), and
 memo or digit limits) and ``reference_create_decision_tree``
 (the build on a normalized copy of the instance, each level call
 returning its own strategy for the level above to graft, here through
-``reference_attach_subtree``).
+``reference_attach_subtree``).  ``normalize``, which scales costs so the
+maximum is 1, was part of the package until the build stopped using it;
+the reference build and the optimum-bound checks still do.
 """
 
 import itertools
@@ -48,7 +50,6 @@ from treesearch.core import (
     QuerySequence,
     TreeInstance,
     induced_components,
-    normalize,
     rooted_order,
     validate_decision_tree,
 )
@@ -747,6 +748,19 @@ def reference_parse_cost(token, position: int) -> Fraction:
     raise ParseError(f"cost #{position} must be a rational string or integer")
 
 
+def normalize(inst: TreeInstance) -> tuple[TreeInstance, Fraction]:
+    """Scale costs so the maximum is exactly 1; return (instance, scale).
+
+    The scale is the former maximum cost.  Relative cost order is
+    preserved; an already-normalized instance is returned unchanged.
+    """
+    scale = inst.max_cost
+    if scale == 1:
+        return inst, Fraction(1)
+    scaled = tuple(c / scale for c in inst.costs)
+    return TreeInstance(inst.n, inst.edges, scaled), scale
+
+
 def reference_create_decision_tree(
     inst: TreeInstance, limits: SolveLimits | None = None
 ) -> tuple[DecisionTree, ApproxStats]:
@@ -754,13 +768,16 @@ def reference_create_decision_tree(
 
     Returns the validated strategy together with run statistics: the
     recursion depth ``depth_d`` (number of level descents on the deepest
-    branch that did real work) and one :class:`LevelRecord` per separator
-    construction.  Exact auxiliary solves share the given ``limits``.
+    branch that did real work), one :class:`LevelRecord` per separator
+    construction, and the strategy's cost on ``inst`` from
+    ``reference_evaluate_cost``.  Exact auxiliary solves share the given
+    ``limits``.
     """
     norm, _scale = normalize(inst)
     n = norm.n
     if n == 1:
-        return DecisionTree(1, {}), ApproxStats(0, None, ())
+        dtree = DecisionTree(1, {})
+        return dtree, ApproxStats(0, None, (), reference_evaluate_cost(inst, dtree))
 
     schedule = cost_levels(n)
     records: list[LevelRecord] = []
@@ -822,4 +839,5 @@ def reference_create_decision_tree(
 
     dtree, depth_d = recurse(norm.vertex_set, schedule.count - 1)
     validate_decision_tree(norm, dtree)
-    return dtree, ApproxStats(depth_d, schedule, tuple(records))
+    cost = reference_evaluate_cost(inst, dtree)
+    return dtree, ApproxStats(depth_d, schedule, tuple(records), cost)

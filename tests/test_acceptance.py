@@ -21,7 +21,6 @@ from treesearch import (
     generate_instance,
     is_up_monotonic,
     k_up_modularity,
-    normalize,
     opt_exact,
     parse_decision_tree,
     parse_instance,
@@ -101,7 +100,7 @@ def test_criterion_04_opt_bounds_normalized():
     rng = random.Random(40_004)
     for _ in range(500):
         inst = mixed_instance(rng, 1, 14)
-        norm, _ = normalize(inst)
+        norm, _ = oracles.normalize(inst)
         opt, _w = opt_exact(norm)
         assert 1 <= opt <= math.floor(math.log2(norm.n)) + 1
     print("PASS criterion 4: 500/500 normalized optima inside [1, floor(log n)+1]")
@@ -146,7 +145,7 @@ def test_criterion_07_auxiliary_tree_cost():
     checked = 0
     while checked < 300:
         inst = mixed_instance(rng, 2, 14, models=("random", "planted-k", "alternating"))
-        norm, _scale = normalize(inst)
+        norm, _scale = oracles.normalize(inst)
         schedule = cost_levels(norm.n)
         for level in range(schedule.count - 1, -1, -1):
             a, _b = schedule.levels[level]

@@ -1,5 +1,6 @@
 """Level schedule, separators, auxiliary trees, grafting, full construction."""
 
+import dataclasses
 import math
 import os
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treesearch
@@ -24,7 +25,6 @@ from treesearch import (
     generate_instance,
     heavy_modules,
     k_up_modularity,
-    normalize,
     opt_exact,
     ranking_based_dt,
     separator_sets,
@@ -42,6 +42,7 @@ from treesearch.errors import (
     NotAPath,
     NotConnected,
     QueryOutsideCandidate,
+    StateLimitExceeded,
     TreeSearchError,
 )
 
@@ -148,7 +149,7 @@ class TestSeparatorSets:
             n = rng.randint(2, 24)
             shape = oracles.random_attachment_tree(n, rng)
             inst = tree_instance(n, shape.edges, oracles.random_costs(n, rng))
-            norm, _ = normalize(inst)
+            norm, _ = oracles.normalize(inst)
             t = 0.5
             if not any(norm.cost(v) > t for v in norm.vertex_set):
                 continue
@@ -198,7 +199,7 @@ class TestAuxiliaryTree:
             n = rng.randint(2, 30)
             inst = oracles.random_attachment_tree(n, rng)
             inst = tree_instance(n, inst.edges, oracles.random_costs(n, rng))
-            norm, _ = normalize(inst)
+            norm, _ = oracles.normalize(inst)
             k, _w = k_up_modularity(norm)
             for t in (0.25, 0.5, 0.75):
                 if not any(norm.cost(v) > t for v in norm.vertex_set):
@@ -215,7 +216,7 @@ class TestContractionAgainstPairs:
             n = rng.randint(2, 40)
             inst = oracles.random_attachment_tree(n, rng)
             inst = tree_instance(n, inst.edges, oracles.random_costs(n, rng))
-            norm, _ = normalize(inst)
+            norm, _ = oracles.normalize(inst)
             for t in (0.25, 0.5, 0.75):
                 if not any(norm.cost(v) > t for v in norm.vertex_set):
                     continue
@@ -389,12 +390,18 @@ class TestCreateDecisionTree:
         with pytest.raises(TreeSearchError, match="heavy modules"):
             create_decision_tree(path5([1, "1/4", 1, "1/4", 1]))
 
+    def test_state_limit_names_the_level(self):
+        inst = generate_instance("random-tree", "random", 40, 3)
+        message = "level 3, region of 40 vertices, auxiliary tree of 23: exact solve exceeded 8 "
+        with pytest.raises(StateLimitExceeded, match=message):
+            create_decision_tree(inst, limits=SolveLimits(8))
+
     def test_single_vertex(self):
         inst = tree_instance(1, [], ["2/3"])
         d, stats = create_decision_tree(inst)
         assert d == DecisionTree(1, {})
         assert stats.depth_d == 0
-        assert evaluate_cost(inst, d) == Fraction(2, 3)
+        assert evaluate_cost(inst, d) == stats.cost == Fraction(2, 3)
 
     def test_two_vertices(self):
         inst = tree_instance(2, [(1, 2)], [1, "1/3"])
@@ -453,6 +460,7 @@ class TestCreateDecisionTree:
             inst = generate_instance(shape, model, n, seed=1000 + i, k=k, eps=eps)
             d, stats = create_decision_tree(inst)
             validate_decision_tree(inst, d)
+            assert stats.cost == evaluate_cost(inst, d)
             for rec in stats.records:
                 assert rec.aux_size == rec.separator_size
                 assert rec.aux_size <= 4 * rec.k_region - 3
@@ -471,7 +479,7 @@ class TestCreateDecisionTree:
                 oracles.random_attachment_tree(n, rng).edges,
                 oracles.random_costs(n, rng),
             )
-            norm, _ = normalize(inst)
+            norm, _ = oracles.normalize(inst)
             schedule = cost_levels(norm.n)
             for level in range(schedule.count - 1, -1, -1):
                 a, _b = schedule.levels[level]
@@ -515,6 +523,7 @@ class TestBuildAgainstReference:
     """The build on the caller's instance against the normalize-based build."""
 
     @given(any_tree_instances(max_n=24))
+    @example(tree_instance(1, [], ["2/3"]))
     @settings(max_examples=300)
     def test_same_tree_and_stats(self, inst):
         limits = SolveLimits(20_000)
@@ -528,8 +537,11 @@ class TestBuildAgainstReference:
     )
     @settings(max_examples=200)
     def test_cost_scale_changes_nothing(self, inst, scale):
+        # Scaling every cost scales the strategy's cost and changes nothing else.
         limits = SolveLimits(20_000)
         scaled = tree_instance(inst.n, inst.edges, [c * scale for c in inst.costs])
-        assert oracles.outcome(create_decision_tree, scaled, limits) == oracles.outcome(
-            create_decision_tree, inst, limits
-        )
+        expected = oracles.outcome(create_decision_tree, inst, limits)
+        if isinstance(expected, tuple):
+            tree, stats = expected
+            expected = tree, dataclasses.replace(stats, cost=stats.cost * scale)
+        assert oracles.outcome(create_decision_tree, scaled, limits) == expected

@@ -32,6 +32,12 @@ class TestRunBench:
         assert row.status == "ok"
         assert report.bound_violations == 0
 
+    def test_row_checks_its_strategy_once(self, strategy_checks):
+        config = BenchConfig(count=1, n_range=(9, 9), shapes=("random-tree",),
+                             cost_models=("random",), seed=5)
+        (row,) = run_bench(config).rows
+        assert row.status == "ok" and len(strategy_checks) == 1
+
     def test_empty_report(self):
         report = run_bench(BenchConfig(count=0))
         assert report.rows == ()

@@ -57,6 +57,11 @@ class TestSubcommands:
         assert rc == 0
         assert capsys.readouterr().out.startswith("digraph strategy {")
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_solve_checks_the_strategy_once(self, fmt, inst_file, capsys, strategy_checks):
+        assert main(["solve", "--input", str(inst_file), "--format", fmt]) == 0
+        assert len(strategy_checks) == 1
+
     def test_exact_and_eval_and_trace(self, inst_file, tmp_path, capsys):
         doc = run_json(capsys, ["exact", "--input", str(inst_file)])
         tree_path = tmp_path / "tree.json"
@@ -228,8 +233,9 @@ class TestExitCodes:
             b'{"n": 2, "edges": [[1, 2]], "costs": [1, 9' + b"9" * 5000 + b"]}",
             b'{"n": 1, "edges": [], "costs": ["1e999999999"]}',
             b'{"n": 1, "edges": [], "costs": ["-1e4300"]}',
+            b'{"n": 2, "edges": [[1, 2]], "costs": [1, 1], "costs": [5, 7]}',
         ],
-        ids=["not-utf8", "long-integer", "huge-exponent", "long-decimal"],
+        ids=["not-utf8", "long-integer", "huge-exponent", "long-decimal", "repeated-key"],
     )
     def test_unreadable_instance_is_1(self, tmp_path, content):
         path = tmp_path / "bad.json"

@@ -18,7 +18,7 @@ from treesearch import (
     QuerySequence,
     create_decision_tree,
     evaluate_cost,
-    normalize,
+    export_dot,
     opt_exact,
     query_sequence,
     ranking_based_dt,
@@ -130,25 +130,25 @@ class TestValidateInstance:
 class TestNormalize:
     def test_simple_division(self):
         inst = tree_instance(3, [(1, 2), (2, 3)], [2, 4, 4])
-        norm, scale = normalize(inst)
+        norm, scale = oracles.normalize(inst)
         assert scale == 4
         assert norm.costs == (Fraction(1, 2), Fraction(1), Fraction(1))
 
     def test_already_normalized_unchanged(self, fix1):
-        norm, scale = normalize(fix1)
+        norm, scale = oracles.normalize(fix1)
         assert scale == 1
         assert norm is fix1
 
     def test_single_vertex(self):
         inst = tree_instance(1, [], ["3/7"])
-        norm, scale = normalize(inst)
+        norm, scale = oracles.normalize(inst)
         assert scale == Fraction(3, 7)
         assert norm.costs == (Fraction(1),)
 
     @given(tree_instances(max_n=16))
     def test_scaling_preserves_costs_exactly(self, inst):
         assert inst.max_cost == max(inst.costs) and type(inst.max_cost) is Fraction
-        norm, scale = normalize(inst)
+        norm, scale = oracles.normalize(inst)
         assert norm.max_cost == 1
         assert tuple(c * scale for c in norm.costs) == inst.costs
 
@@ -364,6 +364,19 @@ class TestWithinIds:
     def test_opt_exact_rejects_vertex_past_n(self):
         with pytest.raises(UnknownVertex):
             opt_exact(P3, within={99})
+
+    @pytest.mark.parametrize("v", [0, -1, 4])
+    def test_cost_rejects_ids_outside_1_to_n(self, v):
+        with pytest.raises(UnknownVertex):
+            P3.cost(v)
+
+    def test_query_sequence_rejects_vertex_0(self):
+        with pytest.raises(UnknownVertex):
+            query_sequence(P3, DecisionTree(0, {0: (1,)}), 1)
+
+    def test_export_dot_rejects_vertex_0(self):
+        with pytest.raises(UnknownVertex):
+            export_dot(inst=P3, strategy=DecisionTree(0, {0: (1,)}))
 
 
 def _run_briefly(call: str) -> str:
@@ -600,7 +613,7 @@ class TestEvaluateCost:
     @settings(max_examples=50)
     def test_normalized_cost_rescales_exactly(self, inst):
         d = ranking_based_dt(inst)
-        norm, scale = normalize(inst)
+        norm, scale = oracles.normalize(inst)
         assert evaluate_cost(norm, d) * scale == evaluate_cost(inst, d)
 
 

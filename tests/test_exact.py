@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from treesearch import (
     SolveLimits,
     evaluate_cost,
-    normalize,
     opt_exact,
     tree_instance,
     validate_decision_tree,
@@ -99,7 +98,7 @@ class TestOptExact:
     @given(tree_instances(max_n=13))
     @settings(max_examples=40, deadline=None)
     def test_normalized_bounds(self, inst):
-        norm, _ = normalize(inst)
+        norm, _ = oracles.normalize(inst)
         opt, _ = opt_exact(norm)
         assert 1 <= opt <= math.floor(math.log2(norm.n)) + 1
 

@@ -72,6 +72,7 @@ class TestInstanceRoundTrip:
             '{"n": 2, "edges": [[1,false]], "costs": [1,1]}',
             '{"n": 2, "edges": [[1,2]], "costs": [1, true]}',
             '{"n": 2, "edges": [[1,2]], "costs": [1, 1.0]}',
+            '{"n": 2, "edges": [[1, 2]], "costs": [1, 1], "costs": [5, 7]}',
         ],
     )
     def test_malformed_rejected(self, text):
