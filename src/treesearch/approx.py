@@ -106,15 +106,14 @@ class SeparatorSets:
 class AuxiliaryTree:
     """Contraction of the tree onto a separator set.
 
-    ``vertices`` and ``edges`` use original ids; two separator vertices
-    are adjacent exactly when no other separator vertex lies on the path
-    between them.  ``instance`` is the same tree relabelled to contiguous
-    ids ``1..m`` (costs carried over), so ``vertices[i]`` is the original
-    id of relabelled vertex ``i + 1``.
+    ``vertices`` lists the separator vertices in increasing original id;
+    ``instance`` is the contracted tree on ids ``1..m`` (costs carried
+    over), so ``vertices[i]`` is the original id of its vertex ``i + 1``.
+    Two separator vertices are adjacent exactly when no other separator
+    vertex lies on the path between them.
     """
 
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     instance: TreeInstance
 
 
@@ -231,13 +230,12 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
     :func:`separator_sets` (which include every branch vertex of their
     spanning subtree) the result is a tree, found in one traversal rooted
     at the smallest separator: every other separator is joined to its
-    nearest separator ancestor.  Edges come out as sorted ``(u, v)``
-    pairs with ``u < v``.
+    nearest separator ancestor.
     """
     zs = sorted(separators)
     if not zs:
         raise InvalidSize("separator set must be non-empty")
-    zset = frozenset(zs)
+    index = {v: i for i, v in enumerate(zs, 1)}
     nearest = {zs[0]: zs[0]}  # closest separator at or above each visited vertex
     edges = []
     stack = [zs[0]]
@@ -246,21 +244,14 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
         up = nearest[x]
         for y in inst.adjacency[x]:
             if y not in nearest:
-                if y in zset:
-                    edges.append((up, y) if up < y else (y, up))
+                if y in index:
+                    edges.append((index[up], index[y]))
                     nearest[y] = y
                 else:
                     nearest[y] = up
                 stack.append(y)
-    edges.sort()
-
-    index = {v: i + 1 for i, v in enumerate(zs)}
-    instance = tree_instance(
-        len(zs),
-        [(index[u], index[v]) for u, v in edges],
-        [inst.cost(v) for v in zs],
-    )
-    return AuxiliaryTree(tuple(zs), tuple(edges), instance)
+    instance = tree_instance(len(zs), edges, [inst.cost(v) for v in zs])
+    return AuxiliaryTree(tuple(zs), instance)
 
 
 class _Strategy:

@@ -60,6 +60,7 @@ class BenchRow:
     approx_ms: float  # the build, which checks and prices the strategy
     oracle_ms: float  # the exact oracle; 0 when it did not run
     status: str  # "ok", "no-oracle", or "state-limit"
+    stop_message: str = ""  # why the build or oracle ran out of states; "" if neither did
 
     @property
     def violates_bound(self) -> bool:
@@ -124,28 +125,31 @@ def run_bench(config: BenchConfig) -> BenchReport:
         started = time.perf_counter()
         try:
             _dtree, stats = create_decision_tree(inst, limits=limits)
-        except StateLimitExceeded:
+        except StateLimitExceeded as exc:
             rows.append(
                 BenchRow(inst_seed, n, shape, cost_model, k_value, None, None, None,
-                         0, 0, (time.perf_counter() - started) * 1000.0, 0.0, "state-limit")
+                         0, 0, (time.perf_counter() - started) * 1000.0, 0.0, "state-limit",
+                         str(exc))
             )
             continue
         approx_ms = (time.perf_counter() - started) * 1000.0
         opt = ratio = None
         oracle_ms = 0.0
         status = "no-oracle"
+        stop_message = ""
         if n <= config.exact_cap:
             started = time.perf_counter()
             try:
                 opt, _witness = opt_exact(inst, limits=limits)
                 ratio = stats.cost / opt
                 status = "ok"
-            except StateLimitExceeded:
-                status = "state-limit"
+            except StateLimitExceeded as exc:
+                status, stop_message = "state-limit", f"oracle: {exc}"
             oracle_ms = (time.perf_counter() - started) * 1000.0
         rows.append(
             BenchRow(inst_seed, n, shape, cost_model, k_value, opt, stats.cost, ratio,
-                     stats.depth_d, stats.max_aux_size, approx_ms, oracle_ms, status)
+                     stats.depth_d, stats.max_aux_size, approx_ms, oracle_ms, status,
+                     stop_message)
         )
     return BenchReport(tuple(rows))
 

@@ -243,8 +243,8 @@ def _ten_to(limit: int) -> int:
     return 10**limit
 
 
-def _to_cost(c, vertex: int) -> Fraction:
-    """``Fraction(c)`` for the cost of ``vertex``, within the digit limit."""
+def _to_cost(c, what: str) -> Fraction:
+    """``Fraction(c)`` for the value ``what`` names, within the digit limit."""
     limit = sys.get_int_max_str_digits()
     exponent = _EXPONENT.search(c) if limit and type(c) is str else None
     try:
@@ -253,9 +253,9 @@ def _to_cost(c, vertex: int) -> Fraction:
         cost = Fraction(c)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         why = f" ({exc})" if isinstance(exc, OverflowError) else ""
-        raise InvalidCost(f"cost of vertex {vertex} is not a rational{why}: {c!r:.80}") from exc
+        raise InvalidCost(f"{what} is not a rational{why}: {c!r:.80}") from exc
     if limit and max(abs(cost.numerator), cost.denominator) >= _ten_to(limit):
-        raise InvalidCost(f"cost of vertex {vertex} has more than {limit} digits")
+        raise InvalidCost(f"{what} has more than {limit} digits")
     return cost
 
 
@@ -310,10 +310,10 @@ def validate_instance(raw: TreeInstance) -> TreeInstance:
             if type(c) is int or type(c) is str:
                 cost = converted.get(c)
                 if cost is None:
-                    cost = converted[c] = _to_cost(c, v)
+                    cost = converted[c] = _to_cost(c, f"cost of vertex {v}")
                 c = cost
             else:
-                c = _to_cost(c, v)
+                c = _to_cost(c, f"cost of vertex {v}")
         costs.append(c)
     for v, c in enumerate(costs, 1):  # every cost converts before any sign is checked
         if c.numerator <= 0:

@@ -13,9 +13,10 @@ Strategy document: ``{"root": int, "children": {"<id>": [ids...]}}``,
 each ``<id>`` an integer as ``str`` writes it.  In both documents no
 object may repeat a key.  Serialization is canonical, so equal values
 produce byte-identical text: the text ``json.dumps(doc, indent=2)``
-gives, written directly.  Every malformed document, including text that
-is not UTF-8, nesting too deep for the JSON decoder and JSON numbers
-past the interpreter's digit limit, raises :class:`ParseError`.
+gives, which both writers build directly, in one pass.  Every malformed
+document, including text that is not UTF-8, nesting too deep for the
+JSON decoder and JSON numbers past the interpreter's digit limit, raises
+:class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -91,13 +92,21 @@ def load_instance(path) -> TreeInstance:
     return parse_instance(_read_text(path))
 
 
+def _json_list(items: list[str]) -> str:
+    """A top-level key's list of indented ``items``, as ``json.dumps(indent=2)`` writes it."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def serialize_instance(inst: TreeInstance) -> str:
-    doc = {
-        "n": inst.n,
-        "edges": [[u, v] for u, v in inst.edges],
-        "costs": [str(c) for c in inst.costs],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The instance document as ``json.dumps(doc, indent=2) + "\\n"`` writes it.
+
+    Each distinct cost object is written once, however many vertices share it.
+    """
+    edges = _json_list([f"    [\n      {u},\n      {v}\n    ]" for u, v in inst.edges])
+    ids = list(map(id, inst.costs))
+    text = {i: f'    "{c}"' for i, c in dict(zip(ids, inst.costs)).items()}
+    costs = _json_list(list(map(text.__getitem__, ids)))
+    return f'{{\n  "n": {inst.n},\n  "edges": {edges},\n  "costs": {costs}\n}}\n'
 
 
 def parse_decision_tree(text: str) -> DecisionTree:

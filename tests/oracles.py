@@ -26,13 +26,20 @@ re-splitting every piece below its top-labelled vertex), and
 memo or digit limits) and ``reference_create_decision_tree``
 (the build on a normalized copy of the instance, each level call
 returning its own strategy for the level above to graft, here through
-``reference_attach_subtree``).  ``normalize``, which scales costs so the
-maximum is 1, was part of the package until the build stopped using it;
-the reference build and the optimum-bound checks still do.
+``reference_attach_subtree``), and ``reference_generate_instance`` with
+its helpers and ``reference_serialize_instance`` (the heap Prüfer
+decode, the independent set that rescans every neighbour list, one
+``Fraction`` per vertex, and the instance text through ``json.dumps``).
+``normalize``, which scales costs so the maximum is 1, was part of the
+package until the build stopped using it; the reference build and the
+optimum-bound checks still do.
 """
 
+import heapq
 import itertools
+import json
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from operator import neg
@@ -58,6 +65,7 @@ from treesearch.errors import (
     ComponentMismatch,
     DuplicateVertex,
     InvalidDecisionTree,
+    InvalidParameters,
     MissingVertex,
     NoNeighborQueried,
     NotAPath,
@@ -69,6 +77,7 @@ from treesearch.errors import (
     UnknownVertex,
 )
 from treesearch.exact import opt_exact
+from treesearch.generators import _COST_STEPS, COST_MODELS, SHAPES
 from treesearch.modularity import heavy_modules, k_up_modularity
 from treesearch.ranking import Ranking, ranking_based_dt
 
@@ -841,3 +850,187 @@ def reference_create_decision_tree(
     validate_decision_tree(norm, dtree)
     cost = reference_evaluate_cost(inst, dtree)
     return dtree, ApproxStats(depth_d, schedule, tuple(records), cost)
+
+
+# Instance generation and writing as the package did them before the
+# linear decode, the parent-array independent set, the shared cost
+# objects and the direct instance writer.  The package must give the
+# same instances and the same text.
+
+
+def reference_prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def reference_shape_edges(shape: str, n: int, rng: random.Random) -> list[tuple[int, int]]:
+    if n == 1:
+        return []
+    if shape == "path":
+        return [(i, i + 1) for i in range(1, n)]
+    if shape == "star":
+        return [(1, v) for v in range(2, n + 1)]
+    if shape == "spider":
+        legs = rng.randint(2, n - 1) if n > 2 else 1
+        sizes = [1] * legs
+        for _ in range(n - 1 - legs):
+            sizes[rng.randrange(legs)] += 1
+        edges = []
+        nxt = 2
+        for size in sizes:
+            prev = 1
+            for _ in range(size):
+                edges.append((prev, nxt))
+                prev = nxt
+                nxt += 1
+        return edges
+    if shape == "random-tree":
+        if n == 2:
+            return [(1, 2)]
+        seq = [rng.randint(1, n) for _ in range(n - 2)]
+        return reference_prufer_decode(seq, n)
+    raise InvalidParameters(f"unknown shape {shape!r}")
+
+
+def reference_bfs_layers(n: int, edges: list[tuple[int, int]], root: int) -> list[int]:
+    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    layer = [-1] * (n + 1)
+    layer[root] = 0
+    queue = [root]
+    while queue:
+        nxt = []
+        for x in queue:
+            for y in nbrs[x]:
+                if layer[y] < 0:
+                    layer[y] = layer[x] + 1
+                    nxt.append(y)
+        queue = nxt
+    return layer
+
+
+def reference_max_independent_set(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """One maximum independent set of the tree, deterministically."""
+    if n == 1:
+        return [1]
+    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = [0] * (n + 1)
+    order = [1]
+    parent[1] = -1
+    for x in order:
+        for y in nbrs[x]:
+            if parent[y] == 0:
+                parent[y] = x
+                order.append(y)
+    take = [1] * (n + 1)  # size if v is in the set
+    skip = [0] * (n + 1)
+    for v in reversed(order):
+        for c in nbrs[v]:
+            if c != parent[v]:
+                take[v] += skip[c]
+                skip[v] += max(take[c], skip[c])
+    chosen = []
+    stack = [(1, True)]
+    while stack:
+        v, allowed = stack.pop()
+        use = allowed and take[v] >= skip[v]
+        if use:
+            chosen.append(v)
+        for c in nbrs[v]:
+            if c != parent[v]:
+                stack.append((c, not use))
+    return sorted(chosen)
+
+
+def reference_costs(
+    cost_model: str,
+    n: int,
+    edges: list[tuple[int, int]],
+    rng: random.Random,
+    k,
+    eps,
+) -> list[Fraction]:
+    if cost_model == "uniform":
+        return [Fraction(1)] * n
+    if cost_model == "random":
+        return [Fraction(rng.randint(1, _COST_STEPS), _COST_STEPS) for _ in range(n)]
+    if cost_model == "up-monotonic":
+        root = rng.randint(1, n)
+        layer = reference_bfs_layers(n, edges, root)
+        depth = max(layer[1:])
+        draws = sorted(
+            (Fraction(rng.randint(1, _COST_STEPS), _COST_STEPS) for _ in range(depth + 1)),
+            reverse=True,
+        )
+        return [draws[layer[v]] for v in range(1, n + 1)]
+    if cost_model == "planted-k":
+        if k is None or k < 1:
+            raise InvalidParameters("planted-k requires k >= 1")
+        independent = reference_max_independent_set(n, edges)
+        if len(independent) < k:
+            raise InvalidParameters(
+                f"cannot place {k} pairwise non-adjacent centers in this tree"
+            )
+        centers = set(rng.sample(independent, k))
+        return [Fraction(1) if v in centers else Fraction(1, 2) for v in range(1, n + 1)]
+    if cost_model == "alternating":
+        if eps is None:
+            raise InvalidParameters("alternating requires eps > 0")
+        try:
+            eps = Fraction(eps)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidParameters(f"eps {eps!r} is not a rational number") from exc
+        if eps <= 0:
+            raise InvalidParameters("alternating requires eps > 0")
+        layer = reference_bfs_layers(n, edges, 1)
+        high = 1 + eps
+        raw = [Fraction(1) if layer[v] % 2 == 0 else high for v in range(1, n + 1)]
+        return [c / high for c in raw]  # normalized: high costs become 1
+    raise InvalidParameters(f"unknown cost model {cost_model!r}")
+
+
+def reference_generate_instance(
+    shape: str, cost_model: str, n: int, seed: int, k=None, eps=None
+) -> TreeInstance:
+    """Generate one instance; identical arguments give identical output.
+
+    ``k`` configures the planted-groups model (how many expensive,
+    pairwise non-adjacent centers); ``eps`` configures the alternating
+    model (relative gap between the two alternating cost values).
+    """
+    if n < 1:
+        raise InvalidParameters(f"n must be at least 1, got {n}")
+    if shape not in SHAPES:
+        raise InvalidParameters(f"unknown shape {shape!r}")
+    if cost_model not in COST_MODELS:
+        raise InvalidParameters(f"unknown cost model {cost_model!r}")
+    rng = random.Random(seed)
+    edges = reference_shape_edges(shape, n, rng)
+    costs = reference_costs(cost_model, n, edges, rng, k, eps)
+    return tree_instance(n, edges, costs)
+
+
+def reference_serialize_instance(inst: TreeInstance) -> str:
+    doc = {
+        "n": inst.n,
+        "edges": [[u, v] for u, v in inst.edges],
+        "costs": [str(c) for c in inst.costs],
+    }
+    return json.dumps(doc, indent=2) + "\n"

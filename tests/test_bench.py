@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,26 @@ class TestRunBench:
         report = run_bench(config)
         assert len(report.rows) == 4
         assert all(row.status == "state-limit" for row in report.rows)
+        assert all(row.stop_message.startswith("oracle: exact solve exceeded 8")
+                   for row in report.rows)
+
+    def test_build_stop_message_names_level_region_and_aux_tree(self):
+        config = BenchConfig(count=4, n_range=(30, 40), shapes=("random-tree",),
+                             cost_models=("random",), seed=1, state_limit=8)
+        report = run_bench(config)
+        assert [row.status for row in report.rows] == ["state-limit"] * 4
+        for row in report.rows:
+            assert re.fullmatch(r"level \d+, region of \d+ vertices, auxiliary tree of \d+: "
+                                r"exact solve exceeded 8 memo states", row.stop_message)
+        json_rows = json.loads(report_to_json(report))["rows"]
+        csv_rows = list(csv.reader(io.StringIO(report_to_csv(report))))
+        column = csv_rows[0].index("stop_message")
+        assert [r["stop_message"] for r in json_rows] == [r.stop_message for r in report.rows]
+        assert [line[column] for line in csv_rows[1:5]] == [r.stop_message for r in report.rows]
+
+    def test_rows_that_did_not_stop_have_no_stop_message(self):
+        report = run_bench(BenchConfig(count=6, n_range=(4, 10), seed=9))
+        assert all(row.stop_message == "" for row in report.rows)
 
 
 class TestReports:

@@ -167,7 +167,8 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "max_states" in proc.stderr
 
-    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    @pytest.mark.parametrize("eps", ["abc", "1/0", "1e99999999", "1e-999999",
+                                     pytest.param("9" * 4300, id="derived-cost-digits")])
     def test_gen_bad_eps_is_1(self, eps):
         proc = run_process(["gen", "--shape", "path", "--cost-model", "alternating",
                             "--n", "5", "--eps", eps])

@@ -20,6 +20,7 @@ from treesearch import (
 from treesearch.errors import NonPositiveCost, NotATree, ParseError
 
 import oracles
+from strategies import any_tree_instances
 
 FIX1_JSON = """
 {
@@ -44,6 +45,17 @@ class TestInstanceRoundTrip:
         inst = parse_instance('{"n": 1, "edges": [], "costs": [1]}')
         assert inst.n == 1
         assert inst.cost(1) == 1
+
+    def test_single_vertex_written_with_empty_edges(self):
+        text = serialize_instance(tree_instance(1, [], ["3/4"]))
+        assert text == '{\n  "n": 1,\n  "edges": [],\n  "costs": [\n    "3/4"\n  ]\n}\n'
+
+    @given(any_tree_instances(min_n=1, max_n=30))
+    @settings(max_examples=200)
+    def test_text_is_the_reference_text(self, inst):
+        text = serialize_instance(inst)
+        assert text == oracles.reference_serialize_instance(inst)
+        assert parse_instance(text) == inst
 
     def test_integer_costs_accepted(self):
         inst = parse_instance('{"n": 2, "edges": [[1,2]], "costs": [2, "1/2"]}')
