@@ -15,9 +15,8 @@ more than ``a * M``:
   the tree onto the separator gives an auxiliary instance small enough to
   solve exactly; its strategy queries the whole separator.
 * Every remaining component holds at most one heavy module, whose ranking
-  strategy is grafted below the deepest queried neighbour of the
-  component; the all-light leftovers recurse one interval lower and are
-  grafted the same way.
+  strategy hangs below the separators; the all-light leftovers recurse one
+  interval lower.
 
 The number of intervals is ``O(log log n)``, and each level of the
 recursion adds only a constant multiple of the optimum to the cost, which
@@ -33,13 +32,16 @@ instance would: separators and modules depend only on which costs exceed
 a threshold and on their order, the ranking ignores costs, and the exact
 solver only adds and compares weights, which a positive scale preserves.
 
-The whole build grows one mutable strategy (child lists plus parent and
-depth maps): each auxiliary strategy, ranking and lower-level strategy is
-grafted into it where it belongs, in time proportional to the grafted
-region, the grafted strategy and the strategy's depth, so no vertex is
-copied more than once.  The response branch holding a region is found by
-interval tests on a preorder numbering of the instance, cached once per
-instance.
+The build grows one child-list dict, and each call is told the query its
+region hangs below, so nothing searches for where a piece goes.  A
+level's auxiliary strategy hangs below the query that led to its region.
+A component of the region minus the separators hangs below the separator
+next to it that comes last in the auxiliary strategy's breadth-first
+order; that is the deepest one, because the separators next to one
+component lie on one root path.  A light part of a component minus its
+module hangs below its one module neighbour.  Each strategy goes in as
+the last child of its query, so every vertex is copied once, and the one
+:func:`evaluate_cost` at the end checks the whole strategy.
 """
 
 from __future__ import annotations
@@ -254,63 +256,28 @@ def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
     return AuxiliaryTree(tuple(zs), instance)
 
 
-class _Strategy:
-    """A strategy under construction: child lists plus parent and depth maps.
+def attach_subtree(
+    d: DecisionTree, inst: TreeInstance, region, sub_dt: DecisionTree
+) -> DecisionTree:
+    """Graft a strategy for an unqueried region below the right query.
 
-    It starts empty (``root`` 0); ``parent[root]`` is 0, which is no
-    vertex, and ``depth[root]`` is 0.
+    This is the checked public graft; the build no longer calls it.  All
+    queried neighbours of the region must lie on a single root-to-leaf path
+    of ``d`` (verified here, not assumed); the subtree becomes the last
+    child of the deepest of them, on the response branch holding the
+    region.  A strategy that leaves the region raises
+    :class:`QueryOutsideCandidate`, a region holding queried vertices
+    :class:`DuplicateVertex`, and a region not inside one response branch
+    :class:`NotConnected`.
     """
-
-    __slots__ = ("root", "children", "parent", "depth")
-
-    def __init__(self):
-        self.root = 0
-        self.children: dict[int, list[int]] = {}
-        self.parent: dict[int, int] = {}
-        self.depth: dict[int, int] = {}
-
-    def _copy(self, d: DecisionTree, above: int) -> None:
-        """Copy the strategy ``d`` in, its root below query ``above`` (0: none)."""
-        parent, depth, children = self.parent, self.depth, self.children
-        parent[d.root] = above
-        depth[d.root] = depth[above] + 1 if above else 0
-        kids_of = d.children.get
-        for q in d.order:
-            kids = kids_of(q)
-            if kids:
-                children[q] = list(kids)
-                below = depth[q] + 1
-                for child in kids:
-                    parent[child] = q
-                    depth[child] = below
-
-    def attach(self, q: int, d: DecisionTree) -> None:
-        """Add the strategy ``d`` as the last child of query ``q`` (0: as the root)."""
-        if q:
-            self.children.setdefault(q, []).append(d.root)
-        else:
-            self.root = d.root
-        self._copy(d, q)
-
-    def tree(self) -> DecisionTree:
-        return DecisionTree(self.root, self.children)
-
-
-def _graft(strategy: _Strategy, inst: TreeInstance, region, sub_dt: DecisionTree) -> None:
-    """Attach ``sub_dt`` to ``strategy`` as :func:`attach_subtree` describes.
-
-    Into an empty strategy, ``sub_dt`` goes in as the root.  Costs
-    O(|region| + |sub_dt| + depth of the strategy) plus the degrees of the
-    region's vertices; nothing is scanned per strategy vertex.
-    """
+    parent, order = d.parent_map, d.order
     region = frozenset(region)
     outside = sub_dt.parent_map.keys() - region
     if outside:
         raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
-    depth = strategy.depth
-    if not depth:
-        strategy.attach(0, sub_dt)
-        return
+    depth = {d.root: 0}
+    for q in order[1:]:
+        depth[q] = depth[parent[q]] + 1
     overlap = [v for v in region if v in depth]
     if overlap:
         raise DuplicateVertex(f"region holds queried vertices {sorted(overlap)}")
@@ -330,49 +297,31 @@ def _graft(strategy: _Strategy, inst: TreeInstance, region, sub_dt: DecisionTree
     v = deepest
     while v:
         chain.add(v)
-        v = strategy.parent[v]
+        v = parent[v]
     stray = [q for q in hooks if q not in chain]
     if stray:
-        raise NotAPath(
-            f"queried neighbours {stray} of the region are not ancestors of {deepest}"
-        )
+        raise NotAPath(f"queried neighbours {stray} of the region are not ancestors of {deepest}")
 
     # The branch of ``deepest`` through its region neighbour ``near`` is the
     # subtree of ``near`` when ``near`` is a child of ``deepest`` in the tree
     # rooted at vertex 1, and everything outside the subtree of ``deepest``
     # when ``near`` is its parent.
-    parent, first, last = inst.preorder
+    up, first, last = inst.preorder
     near = touching[deepest]
-    if parent[near] == deepest:
+    if up[near] == deepest:
         lo, hi, inside = first[near], last[near], True
     else:
         lo, hi, inside = first[deepest], last[deepest], False
     if any((lo <= first[w] <= hi) != inside for w in region):
         raise NotConnected(f"region is not inside one response branch of {deepest}")
-    if any((lo <= first[c] <= hi) == inside for c in strategy.children.get(deepest, ())):
+    if any((lo <= first[c] <= hi) == inside for c in d.child_list(deepest)):
         raise BranchOccupied(
             f"query {deepest} already has a child on the branch holding the region"
         )
-    strategy.attach(deepest, sub_dt)
-
-
-def attach_subtree(
-    d: DecisionTree, inst: TreeInstance, region, sub_dt: DecisionTree
-) -> DecisionTree:
-    """Graft a strategy for an unqueried region below the right query.
-
-    All queried neighbours of the region must lie on a single root-to-leaf
-    path of ``d`` (a structural guarantee of the construction, verified
-    here rather than assumed); the subtree is attached under the deepest
-    of them, on the response branch holding the region.  A strategy that
-    leaves the region raises :class:`QueryOutsideCandidate`, a region
-    holding queried vertices :class:`DuplicateVertex`, and a region not
-    inside one response branch :class:`NotConnected`.
-    """
-    strategy = _Strategy()
-    strategy.attach(0, d)
-    _graft(strategy, inst, region, sub_dt)
-    return strategy.tree()
+    children = {q: d.child_list(q) for q in order}
+    children[deepest] += (sub_dt.root,)
+    children.update((q, sub_dt.child_list(q)) for q in sub_dt.order)
+    return DecisionTree(d.root, children)
 
 
 def create_decision_tree(
@@ -380,14 +329,19 @@ def create_decision_tree(
 ) -> tuple[DecisionTree, ApproxStats]:
     """Build a full strategy via the doubling-level recursion.
 
-    Returns the validated strategy together with run statistics: the
-    recursion depth ``depth_d`` (number of level descents on the deepest
-    branch that did real work), one :class:`LevelRecord` per separator
-    construction, whose ``lower``/``upper`` are the interval ends relative
-    to the maximum cost, and the strategy's ``cost`` from the one
-    :func:`evaluate_cost` that checks it.  Exact auxiliary solves share
-    the given ``limits``; one that runs out raises :class:`StateLimitExceeded`
-    naming the level, the region size and the auxiliary tree size.
+    Each piece hangs below the query it was built for (an auxiliary
+    strategy below the query that led to its region, a module ranking
+    below the deepest separator next to its component, a light part below
+    its module neighbour), with no check per piece: the finished strategy
+    is checked once, by the :func:`evaluate_cost` that prices it, so a
+    misplaced piece raises a typed error.  Returns the strategy with run
+    statistics: the recursion depth ``depth_d`` (number of level descents
+    on the deepest branch that did real work), one :class:`LevelRecord`
+    per separator construction, whose ``lower``/``upper`` are the interval
+    ends relative to the maximum cost, and the strategy's ``cost``.  Exact
+    auxiliary solves share the given ``limits``; one that runs out raises
+    :class:`StateLimitExceeded` naming the level, the region size and the
+    auxiliary tree size.
     """
     n = inst.n
     if n == 1:
@@ -396,19 +350,25 @@ def create_decision_tree(
     schedule = cost_levels(n)
     records: list[LevelRecord] = []
     thresholds = [Fraction(a) * inst.max_cost for a, _b in schedule.levels]
-    weights = inst.weights
-    strategy = _Strategy()
+    weights, adjacency = inst.weights, inst.adjacency
+    children: dict[int, list[int]] = {}  # the strategy; 0 holds its root
 
-    def recurse(region: frozenset[int], level: int) -> int:
-        """Graft a strategy for ``region`` into ``strategy``; return its depth."""
+    def hang(d: DecisionTree, above: int) -> None:
+        """Add the strategy ``d`` as the last child of query ``above`` (0: as the root)."""
+        children.setdefault(above, []).append(d.root)
+        for q, kids in d.children.items():
+            children[q] = list(kids)
+
+    def recurse(region: frozenset[int], level: int, above: int) -> int:
+        """Hang a strategy for ``region`` below query ``above``; return its depth."""
         threshold = thresholds[level]
         cut = inst.cutoff(threshold)
         heavy = sum(1 for v in region if weights[v] > cut)
         if level == 0 or heavy == len(region):
-            _graft(strategy, inst, region, ranking_based_dt(inst, within=region))
+            hang(ranking_based_dt(inst, within=region), above)
             return 0
         if not heavy:
-            return recurse(region, level - 1)
+            return recurse(region, level - 1, above)
 
         seps = separator_sets(inst, region, threshold)
         aux = auxiliary_tree(inst, seps.separators)
@@ -422,7 +382,7 @@ def create_decision_tree(
             back[aux_dt.root - 1],
             {back[q - 1]: [back[c - 1] for c in kids] for q, kids in aux_dt.children.items()},
         )
-        _graft(strategy, inst, region, aux_dt)
+        hang(aux_dt, above)
 
         comps = induced_components(inst, region - seps.separators)
         comp_modules = [heavy_modules(inst, threshold, within=comp).modules for comp in comps]
@@ -442,22 +402,27 @@ def create_decision_tree(
             )
         )
 
-        # Every part touches a query of this level, which lies below the
-        # queries around ``region``, so each graft hooks on inside ``region``.
+        # A component lies in one response branch of every separator, so the
+        # separators next to it lie on one root path of ``aux_dt``: the last
+        # of them in breadth-first order is the deepest, and it hangs there.
+        rank = {z: i for i, z in enumerate(aux_dt.order)}
         depth = 0
         for comp, modules in zip(comps, comp_modules):
             if len(modules) > 1:
                 raise TreeSearchError(f"separator left {len(modules)} heavy modules together")
-            if modules:
-                module = modules[0]
-                _graft(strategy, inst, comp, ranking_based_dt(inst, within=module))
-                light_parts = induced_components(inst, comp - module)
-            else:
-                light_parts = [comp]
-            for part in light_parts:
-                depth = max(depth, recurse(part, level - 1))
+            hook = max((y for w in comp for y in adjacency[w] if y in rank), key=rank.__getitem__)
+            if not modules:
+                depth = max(depth, recurse(comp, level - 1, hook))
+                continue
+            module = modules[0]
+            hang(ranking_based_dt(inst, within=module), hook)
+            # A light part meets the connected module by a single edge.
+            for part in induced_components(inst, comp - module):
+                touch = next(y for w in part for y in adjacency[w] if y in module)
+                depth = max(depth, recurse(part, level - 1, touch))
         return depth + 1
 
-    depth_d = recurse(inst.vertex_set, schedule.count - 1)
-    dtree = strategy.tree()
+    depth_d = recurse(inst.vertex_set, schedule.count - 1, 0)
+    [root] = children.pop(0)
+    dtree = DecisionTree(root, children)
     return dtree, ApproxStats(depth_d, schedule, tuple(records), evaluate_cost(inst, dtree))

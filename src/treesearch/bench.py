@@ -40,9 +40,11 @@ class BenchConfig:
         lo, hi = self.n_range
         if lo < 1 or lo > hi:
             raise InvalidParameters(f"n_range must satisfy 1 <= n_min <= n_max, got {self.n_range}")
+        if not isinstance(self.count, int) or isinstance(self.count, bool):
+            raise InvalidParameters(f"count must be an integer, got {self.count!r:.80}")
         if self.count < 0:
             raise InvalidParameters(f"count must be non-negative, got {self.count}")
-        SolveLimits(self.state_limit)  # rejects a state budget below 1
+        SolveLimits(self.state_limit)  # rejects a state budget that is not an int of at least 1
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ the early-stopping contraction in ``approx``, and the union-find sweeps
 of ``modularity`` (decreasing cost) and ``ranking`` (increasing label).
 A strategy's child lists are walked in one place, into the cached
 :attr:`DecisionTree.parent_map` and :attr:`DecisionTree.order`; its
-vertex set, depth and query sequences, the build's graft copy and the
+vertex set, depth and query sequences, ``approx.attach_subtree`` and the
 check and price of :func:`validate_decision_tree` and
 :func:`evaluate_cost` all read that walk, the last two adding one pass
 over the instance edges.  Every ``within`` argument is resolved by
@@ -30,9 +30,9 @@ anything ``Fraction`` accepts (an int, a ``Fraction``, or a string such as
 value is converted once, each distinct int or string once per instance.
 A conversion that fails raises :class:`InvalidCost`, and so does a
 string whose decimal exponent exceeds :func:`sys.get_int_max_str_digits`
-in magnitude (its power of ten would take too long to build) and a value
-whose numerator or denominator has more digits than that limit (it could
-not be printed).  Inside, each instance carries its costs
+in magnitude (its power of ten would take too long to build) and a value,
+``Fraction`` or not, whose numerator or denominator has more digits than
+that limit (it could not be printed).  Inside, each instance carries its costs
 once as integers over their common denominator
 (:attr:`TreeInstance.weights`), and a threshold is turned into one
 integer :meth:`TreeInstance.cutoff`, so inner loops compare machine
@@ -55,6 +55,7 @@ from .errors import (
     ComponentMismatch,
     DuplicateVertex,
     InvalidCost,
+    InvalidParameters,
     MissingVertex,
     NonPositiveCost,
     NotATree,
@@ -128,11 +129,16 @@ class TreeInstance:
         Exact for ``Fraction``, ``int`` and binary64 ``float`` thresholds:
         with ``threshold == p / q`` and ``q > 0``, ``cost(v) > p / q`` holds
         iff ``weights[v] * q > p * denominator``, i.e. iff ``weights[v]``
-        exceeds the floor of ``p * denominator / q``.
+        exceeds the floor of ``p * denominator / q``.  A value with no such
+        ratio (a string, ``None``, a non-finite ``Decimal``) raises
+        :class:`InvalidParameters`.
         """
         if isinstance(threshold, float) and not math.isfinite(threshold):
             return -1 if threshold < 0 else max(self.weights)  # nothing exceeds nan
-        p, q = threshold.as_integer_ratio()
+        try:
+            p, q = threshold.as_integer_ratio()
+        except (AttributeError, ValueError, OverflowError) as exc:
+            raise InvalidParameters(f"threshold is not a rational: {threshold!r:.80}") from exc
         return (p * self.denominator) // q
 
     @cached_property
@@ -244,13 +250,16 @@ def _ten_to(limit: int) -> int:
 
 
 def _to_cost(c, what: str) -> Fraction:
-    """``Fraction(c)`` for the value ``what`` names, within the digit limit."""
+    """``Fraction(c)`` for the value ``what`` names, within the digit limit.
+
+    A ``Fraction`` is checked and returned as it is.
+    """
     limit = sys.get_int_max_str_digits()
     exponent = _EXPONENT.search(c) if limit and type(c) is str else None
     try:
         if exponent and abs(int(exponent[1])) > limit:
             raise OverflowError(f"its exponent exceeds {limit}")
-        cost = Fraction(c)
+        cost = c if type(c) is Fraction else Fraction(c)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         why = f" ({exc})" if isinstance(exc, OverflowError) else ""
         raise InvalidCost(f"{what} is not a rational{why}: {c!r:.80}") from exc
@@ -305,15 +314,18 @@ def validate_instance(raw: TreeInstance) -> TreeInstance:
 
     costs = []
     converted: dict[int | str, Fraction] = {}  # exact types only: True == 1 == 1.0
+    checked: set[int] = set()  # ids of the Fraction costs, each checked once
     for v, c in enumerate(raw.costs, 1):
-        if type(c) is not Fraction:
-            if type(c) is int or type(c) is str:
-                cost = converted.get(c)
-                if cost is None:
-                    cost = converted[c] = _to_cost(c, f"cost of vertex {v}")
-                c = cost
-            else:
-                c = _to_cost(c, f"cost of vertex {v}")
+        if type(c) is Fraction:
+            if id(c) not in checked:
+                checked.add(id(_to_cost(c, f"cost of vertex {v}")))
+        elif type(c) is int or type(c) is str:
+            cost = converted.get(c)
+            if cost is None:
+                cost = converted[c] = _to_cost(c, f"cost of vertex {v}")
+            c = cost
+        else:
+            c = _to_cost(c, f"cost of vertex {v}")
         costs.append(c)
     for v, c in enumerate(costs, 1):  # every cost converts before any sign is checked
         if c.numerator <= 0:

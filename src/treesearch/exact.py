@@ -41,6 +41,8 @@ class SolveLimits:
     max_states: int = 5_000_000
 
     def __post_init__(self):
+        if not isinstance(self.max_states, int) or isinstance(self.max_states, bool):
+            raise InvalidParameters(f"max_states must be an integer, got {self.max_states!r:.80}")
         if self.max_states < 1:
             raise InvalidParameters(f"max_states must be at least 1, got {self.max_states}")
 

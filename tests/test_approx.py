@@ -1,6 +1,7 @@
 """Level schedule, separators, auxiliary trees, grafting, full construction."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -388,6 +389,12 @@ class TestGraftAgainstReference:
         assert d == full
 
 
+LARGE_CORPUS = [(shape, "planted-k", n, seed, k) for shape in ("random-tree", "spider")
+                for n, seed, k in ((2000, 1, 8), (20000, 2, 3))] + [
+    ("random-tree", "up-monotonic", n, seed, None) for n, seed in ((2000, 3), (8000, 4))]
+LARGE_SHA256 = "36eeb236146582a84e5f8b241d32ac91cda97233e4793c490651a1ed5644b0e6"
+
+
 class TestCreateDecisionTree:
     def test_separator_leaving_two_modules(self, monkeypatch):
         lone = frozenset({1})
@@ -523,6 +530,17 @@ class TestCreateDecisionTree:
         d2, s2 = create_decision_tree(fix1)
         assert serialize_decision_tree(d1) == serialize_decision_tree(d2)
         assert s1 == s2
+
+    def test_pinned_large_builds(self):
+        # Multi-level builds of thousands of vertices: the hypothesis tests
+        # stop at n 24, and a piece hung as another child of the right query
+        # is still a valid strategy, so only the pinned output shows it.
+        digest = hashlib.sha256()
+        for shape, model, n, seed, k in LARGE_CORPUS:
+            d, stats = create_decision_tree(generate_instance(shape, model, n, seed, k=k))
+            digest.update(serialize_decision_tree(d).encode())
+            digest.update(repr(stats).encode())
+        assert digest.hexdigest() == LARGE_SHA256
 
 
 class TestBuildAgainstReference:

@@ -161,3 +161,12 @@ class TestBenchConfig:
     def test_rejected_on_construction(self, kwargs):
         with pytest.raises(InvalidParameters):
             BenchConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"count": "5"}, {"count": None}, {"count": True}, {"count": 2.5},
+        {"count": 1, "state_limit": "5"}, {"count": 1, "state_limit": 2.5},
+        {"count": 1, "state_limit": True},
+    ])
+    def test_count_and_state_limit_must_be_ints(self, kwargs):
+        with pytest.raises(InvalidParameters, match="must be an integer"):
+            BenchConfig(**kwargs)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,9 +20,12 @@ from treesearch import (
     create_decision_tree,
     evaluate_cost,
     export_dot,
+    generate_instance,
+    heavy_modules,
     opt_exact,
     query_sequence,
     ranking_based_dt,
+    separator_sets,
     split_components,
     tree_instance,
     validate_decision_tree,
@@ -34,6 +38,7 @@ from treesearch.errors import (
     DuplicateVertex,
     InvalidCost,
     InvalidDecisionTree,
+    InvalidParameters,
     MissingVertex,
     NonPositiveCost,
     NotATree,
@@ -107,6 +112,15 @@ class TestValidateInstance:
         with pytest.raises(InvalidCost, match="vertex 2"):
             tree_instance(2, [(1, 2)], [1, cost])
         assert issubclass(InvalidCost, ValueError)  # what Fraction itself raised
+
+    def test_fraction_past_the_digit_limit_is_typed(self):
+        limit = sys.get_int_max_str_digits()
+        for cost in (Fraction(1, 10**limit), Fraction(10**limit), Fraction(-(10**limit), 3)):
+            with pytest.raises(InvalidCost, match="vertex 2"):
+                tree_instance(2, [(1, 2)], [1, cost])
+        within = Fraction(1, 10**limit - 1)
+        shared = tree_instance(3, [(1, 2), (2, 3)], [within, 1, within])
+        assert shared.costs[0] is within and shared.costs[2] is within
 
     def test_every_cost_converts_before_signs_are_checked(self):
         with pytest.raises(InvalidCost):
@@ -243,6 +257,19 @@ class TestIntegerWeights:
         assert fix1.cutoff(0.6) == 2
         assert fix1.cutoff(Fraction(3, 5)) == 3
         assert fix1.cutoff(1) == 5
+
+    @pytest.mark.parametrize("threshold", ["1/2", None, Decimal("NaN"), Decimal("Infinity")])
+    def test_threshold_without_a_ratio_is_typed(self, threshold):
+        inst = generate_instance("path", "random", 5, 1)
+        for call in (lambda: inst.cutoff(threshold),
+                     lambda: heavy_modules(inst, threshold),
+                     lambda: separator_sets(inst, inst.vertex_set, threshold)):
+            with pytest.raises(InvalidParameters, match="threshold is not a rational"):
+                call()
+
+    def test_decimal_threshold(self, fix1):
+        assert fix1.cutoff(Decimal("0.6")) == fix1.cutoff(Fraction(3, 5)) == 3
+        _heavy_agrees(fix1, Decimal("0.35"))
 
     def test_non_finite_floats(self, fix1):
         _heavy_agrees(fix1, math.inf)

@@ -110,6 +110,11 @@ class TestOptExact:
         with pytest.raises(InvalidParameters):
             SolveLimits(max_states=0)
 
+    @pytest.mark.parametrize("budget", ["5", None, True, False, 2.5, 8.0])
+    def test_state_budget_must_be_an_int(self, budget):
+        with pytest.raises(InvalidParameters, match="max_states must be an integer"):
+            SolveLimits(budget)
+
     def test_deep_non_path_recursion_is_state_limit(self):
         n = 1500
         edges = [(i, i + 1) for i in range(1, n)] + [(n // 2, n + 1)]
