@@ -392,7 +392,7 @@ class TestGraftAgainstReference:
 LARGE_CORPUS = [(shape, "planted-k", n, seed, k) for shape in ("random-tree", "spider")
                 for n, seed, k in ((2000, 1, 8), (20000, 2, 3))] + [
     ("random-tree", "up-monotonic", n, seed, None) for n, seed in ((2000, 3), (8000, 4))]
-LARGE_SHA256 = "36eeb236146582a84e5f8b241d32ac91cda97233e4793c490651a1ed5644b0e6"
+LARGE_SHA256 = "d12510f03d68f760a2f9921e819b6966f774ef2f259c4d1726f546df5417ecf0"
 
 
 class TestCreateDecisionTree:
@@ -539,7 +539,10 @@ class TestCreateDecisionTree:
         for shape, model, n, seed, k in LARGE_CORPUS:
             d, stats = create_decision_tree(generate_instance(shape, model, n, seed, k=k))
             digest.update(serialize_decision_tree(d).encode())
-            digest.update(repr(stats).encode())
+            digest.update(repr((stats.depth_d, stats.cost)).encode())
+            for r in stats.records:
+                digest.update(repr((r.level, r.lower, r.upper, r.region_size, r.module_count,
+                                    r.k_region, r.aux_size, r.max_modules_per_component)).encode())
         assert digest.hexdigest() == LARGE_SHA256
 
 
