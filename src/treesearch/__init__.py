@@ -11,7 +11,6 @@ construction with a provable quality bound, and a benchmark harness.
 from .approx import (
     ApproxStats,
     AuxiliaryTree,
-    CostLevelSchedule,
     LevelRecord,
     SeparatorSets,
     attach_subtree,
@@ -34,12 +33,7 @@ from .core import (
 )
 from .exact import SolveLimits, opt_exact
 from .generators import COST_MODELS, SHAPES, generate_instance
-from .modularity import (
-    HeavyModuleDecomposition,
-    heavy_modules,
-    is_up_monotonic,
-    k_up_modularity,
-)
+from .modularity import heavy_modules, is_up_monotonic, k_up_modularity
 from .ranking import Ranking, is_valid_ranking, ranking_based_dt, vertex_ranking
 from .serialize import (
     export_dot,
@@ -60,9 +54,7 @@ __all__ = [
     "BenchReport",
     "BenchRow",
     "COST_MODELS",
-    "CostLevelSchedule",
     "DecisionTree",
-    "HeavyModuleDecomposition",
     "LevelRecord",
     "QuerySequence",
     "Ranking",

@@ -20,7 +20,10 @@ more than ``a * M``:
 
 The number of intervals is ``O(log log n)``, and each level of the
 recursion adds only a constant multiple of the optimum to the cost, which
-is what makes the final strategy competitive.
+is what makes the final strategy competitive.  :func:`cost_levels` gives
+the intervals as a plain tuple, and a run reports each fact once: its
+depth and cost in :class:`ApproxStats`, and per separator construction
+one :class:`LevelRecord` with the level's own interval.
 
 Interval endpoints are binary64 floats.  The build works on the
 caller's instance, with no normalized copy: level ``(a, b]`` compares
@@ -78,17 +81,6 @@ from .ranking import ranking_based_dt
 
 
 @dataclass(frozen=True)
-class CostLevelSchedule:
-    """Half-open cost intervals ``(a, b]`` partitioning ``(0, 1]``."""
-
-    levels: tuple[tuple[float, float], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.levels)
-
-
-@dataclass(frozen=True)
 class SeparatorSets:
     """The three nested vertex sets that isolate heavy modules.
 
@@ -121,7 +113,12 @@ class AuxiliaryTree:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """Instrumentation for one separator construction during a run."""
+    """Instrumentation for one separator construction during a run.
+
+    ``lower``/``upper`` are the level's interval ends relative to the
+    maximum cost; ``aux_size`` counts the separators, since the auxiliary
+    tree has one vertex per separator.
+    """
 
     level: int
     lower: float
@@ -129,7 +126,6 @@ class LevelRecord:
     region_size: int
     module_count: int
     k_region: int
-    separator_size: int
     aux_size: int
     max_modules_per_component: int
 
@@ -139,7 +135,6 @@ class ApproxStats:
     """Per-run statistics: recursion depth, one record per separator, strategy cost."""
 
     depth_d: int
-    schedule: CostLevelSchedule | None
     records: tuple[LevelRecord, ...]
     cost: Fraction
 
@@ -166,8 +161,8 @@ def _inv_log2_lower_bound(n: int) -> float:
     return value
 
 
-def cost_levels(n: int) -> CostLevelSchedule:
-    """The doubling interval schedule for an instance of ``n`` vertices."""
+def cost_levels(n: int) -> tuple[tuple[float, float], ...]:
+    """The doubling intervals ``(a, b]`` partitioning ``(0, 1]`` for ``n`` vertices."""
     if n < 2:
         raise InvalidSize(f"cost levels require at least 2 vertices, got {n}")
     b = _inv_log2_lower_bound(n)
@@ -175,7 +170,7 @@ def cost_levels(n: int) -> CostLevelSchedule:
     while b < 1.0:
         a, b = b, min(2.0 * b, 1.0)
         levels.append((a, b))
-    return CostLevelSchedule(tuple(levels))
+    return tuple(levels)
 
 
 def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
@@ -188,13 +183,11 @@ def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
     when the region is not connected.
     """
     region = frozenset(region)
-    decomposition = heavy_modules(inst, threshold, within=region)
-    if not decomposition.modules:
+    modules = heavy_modules(inst, threshold, within=region)
+    if not modules:
         raise NoHeavyVertex(f"no vertex in the region costs more than {threshold}")
     weights = inst.weights
-    reps = frozenset(
-        max(module, key=lambda v: (weights[v], -v)) for module in decomposition.modules
-    )
+    reps = frozenset(max(module, key=lambda v: (weights[v], -v)) for module in modules)
 
     # Spanning subtree of the representatives, rooted at one of them: a
     # vertex belongs iff its rooted subtree contains a representative.
@@ -345,11 +338,11 @@ def create_decision_tree(
     """
     n = inst.n
     if n == 1:
-        return DecisionTree(1, {}), ApproxStats(0, None, (), inst.costs[0])
+        return DecisionTree(1, {}), ApproxStats(0, (), inst.costs[0])
 
-    schedule = cost_levels(n)
+    levels = cost_levels(n)
     records: list[LevelRecord] = []
-    thresholds = [Fraction(a) * inst.max_cost for a, _b in schedule.levels]
+    thresholds = [Fraction(a) * inst.max_cost for a, _b in levels]
     weights, adjacency = inst.weights, inst.adjacency
     children: dict[int, list[int]] = {}  # the strategy; 0 holds its root
 
@@ -385,9 +378,9 @@ def create_decision_tree(
         hang(aux_dt, above)
 
         comps = induced_components(inst, region - seps.separators)
-        comp_modules = [heavy_modules(inst, threshold, within=comp).modules for comp in comps]
+        comp_modules = [heavy_modules(inst, threshold, within=comp) for comp in comps]
         k_region, _witness = k_up_modularity(inst, within=region)
-        a, b = schedule.levels[level]
+        a, b = levels[level]
         records.append(
             LevelRecord(
                 level=level,
@@ -396,7 +389,6 @@ def create_decision_tree(
                 region_size=len(region),
                 module_count=len(seps.reps),
                 k_region=k_region,
-                separator_size=len(seps.separators),
                 aux_size=len(aux.vertices),
                 max_modules_per_component=max((len(ms) for ms in comp_modules), default=0),
             )
@@ -422,7 +414,7 @@ def create_decision_tree(
                 depth = max(depth, recurse(part, level - 1, touch))
         return depth + 1
 
-    depth_d = recurse(inst.vertex_set, schedule.count - 1, 0)
+    depth_d = recurse(inst.vertex_set, len(levels) - 1, 0)
     [root] = children.pop(0)
     dtree = DecisionTree(root, children)
-    return dtree, ApproxStats(depth_d, schedule, tuple(records), evaluate_cost(inst, dtree))
+    return dtree, ApproxStats(depth_d, tuple(records), evaluate_cost(inst, dtree))

@@ -26,6 +26,10 @@ from .generators import COST_MODELS, SHAPES, generate_instance
 from .modularity import k_up_modularity
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     count: int
@@ -34,16 +38,28 @@ class BenchConfig:
     cost_models: tuple[str, ...] = COST_MODELS
     seed: int = 0
     exact_cap: int = 14
-    state_limit: int = 5_000_000
+    state_limit: int = SolveLimits.max_states
 
     def __post_init__(self):
-        lo, hi = self.n_range
-        if lo < 1 or lo > hi:
-            raise InvalidParameters(f"n_range must satisfy 1 <= n_min <= n_max, got {self.n_range}")
-        if not isinstance(self.count, int) or isinstance(self.count, bool):
+        pair = self.n_range
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))
+                and 1 <= pair[0] <= pair[1]):
+            raise InvalidParameters(
+                f"n_range must be two integers with 1 <= n_min <= n_max, got {pair!r:.80}")
+        if not _is_int(self.count):
             raise InvalidParameters(f"count must be an integer, got {self.count!r:.80}")
         if self.count < 0:
             raise InvalidParameters(f"count must be non-negative, got {self.count}")
+        if not _is_int(self.exact_cap) or self.exact_cap < 0:
+            raise InvalidParameters(
+                f"exact_cap must be a non-negative integer, got {self.exact_cap!r:.80}")
+        if not _is_int(self.seed):  # None would seed from the clock, unreproducibly
+            raise InvalidParameters(f"seed must be an integer, got {self.seed!r:.80}")
+        for name in ("shapes", "cost_models"):
+            names = getattr(self, name)
+            if not isinstance(names, (tuple, list)) or not names:
+                raise InvalidParameters(
+                    f"{name} must be a non-empty tuple of names, got {names!r:.80}")
         SolveLimits(self.state_limit)  # rejects a state budget that is not an int of at least 1
 
 

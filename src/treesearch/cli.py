@@ -169,10 +169,9 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _add_io(sub, output=True):
+def _add_io(sub):
     sub.add_argument("--input", required=True, help="instance JSON file")
-    if output:
-        sub.add_argument("--output", help="write result here instead of stdout")
+    sub.add_argument("--output", help="write result here instead of stdout")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="build the level-recursion strategy")
     _add_io(p)
-    p.add_argument("--state-limit", type=int, default=5_000_000)
+    p.add_argument("--state-limit", type=int, default=SolveLimits.max_states)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("exact", help="solve a small instance exactly")
     _add_io(p)
-    p.add_argument("--state-limit", type=int, default=5_000_000)
+    p.add_argument("--state-limit", type=int, default=SolveLimits.max_states)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=_cmd_exact)
 
@@ -231,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="run the benchmark harness")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=14)
+    p.add_argument("--n-min", type=int, default=BenchConfig.n_range[0])
+    p.add_argument("--n-max", type=int, default=BenchConfig.n_range[1])
     p.add_argument("--shapes", help="comma-separated subset of shapes")
     p.add_argument("--cost-models", help="comma-separated subset of cost models")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-cap", type=int, default=14)
-    p.add_argument("--state-limit", type=int, default=5_000_000)
+    p.add_argument("--seed", type=int, default=BenchConfig.seed)
+    p.add_argument("--exact-cap", type=int, default=BenchConfig.exact_cap)
+    p.add_argument("--state-limit", type=int, default=SolveLimits.max_states)
     p.add_argument("--output")
     p.add_argument("--csv", help="also write a CSV report here")
     p.set_defaults(func=_cmd_bench)

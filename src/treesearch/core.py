@@ -231,12 +231,21 @@ class QuerySequence:
 
 
 def tree_instance(n: int, edges: Iterable, costs: Iterable) -> TreeInstance:
-    """Build and validate a :class:`TreeInstance` from raw parts."""
-    raw = TreeInstance(
-        int(n),
-        tuple((int(u), int(v)) for u, v in edges),
-        tuple(costs),
-    )
+    """Build and validate a :class:`TreeInstance` from raw parts.
+
+    Raises :class:`NotATree` when ``n`` or an edge end is not an integer,
+    an edge is not a pair, or ``edges`` or ``costs`` is not iterable, and
+    otherwise what :func:`validate_instance` raises.
+    """
+    if type(n) is not int:
+        raise NotATree(f"vertex count must be an integer, got {n!r:.80}")
+    try:
+        raw = TreeInstance(n, tuple((u, v) for u, v in edges), tuple(costs))
+    except (TypeError, ValueError) as exc:
+        raise NotATree(f"edges must be vertex pairs and costs a sequence ({exc})") from exc
+    for u, v in raw.edges:
+        if type(u) is not int or type(v) is not int:
+            raise NotATree(f"edge ({u!r:.40}, {v!r:.40}) has an end that is not an integer")
     return validate_instance(raw)
 
 

@@ -1,7 +1,8 @@
 """Threshold decompositions of the cost function.
 
 For a threshold ``t``, the vertices costing strictly more than ``t``
-split into maximal connected groups ("heavy modules").  The largest
+split into maximal connected groups ("heavy modules"), which
+:func:`heavy_modules` returns as a plain tuple of vertex sets.  The largest
 number of such groups over all thresholds measures how far the cost
 function is from decreasing monotonically away from its maximum: a
 single group at every threshold is exactly the monotone case.
@@ -16,25 +17,12 @@ number of components is the heavy-module count at the next lower cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import TreeInstance, induced_components, rooted_order
 
 
-@dataclass(frozen=True)
-class HeavyModuleDecomposition:
-    """Maximal connected groups of vertices costing strictly above a threshold."""
-
-    threshold: object
-    modules: tuple[frozenset[int], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.modules)
-
-
-def heavy_modules(inst: TreeInstance, threshold, within=None) -> HeavyModuleDecomposition:
+def heavy_modules(inst: TreeInstance, threshold, within=None) -> tuple[frozenset[int], ...]:
     """Connected components of ``{v : cost(v) > threshold}``.
 
     ``within`` restricts the computation to an induced vertex subset.
@@ -45,7 +33,7 @@ def heavy_modules(inst: TreeInstance, threshold, within=None) -> HeavyModuleDeco
     weights = inst.weights
     cut = inst.cutoff(threshold)
     heavy = [v for v in verts if weights[v] > cut]
-    return HeavyModuleDecomposition(threshold, tuple(induced_components(inst, heavy)))
+    return tuple(induced_components(inst, heavy))
 
 
 def k_up_modularity(inst: TreeInstance, within=None) -> tuple[int, Fraction]:

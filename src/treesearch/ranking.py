@@ -32,7 +32,10 @@ class Ranking:
     """A valid vertex ranking: ``labels[v]`` is the rank of vertex ``v``."""
 
     labels: Mapping[int, int]
-    max_label: int
+
+    @property
+    def max_label(self) -> int:
+        return max(self.labels.values(), default=0)
 
 
 def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
@@ -62,7 +65,7 @@ def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
             twice[p] |= seen[p] & visible
             seen[p] |= visible
 
-    return Ranking(labels, max(labels.values()))
+    return Ranking(labels)
 
 
 def _elimination_tree(inst: TreeInstance, labels: Mapping[int, int], within):

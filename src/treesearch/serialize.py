@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 
 from .core import DecisionTree, TreeInstance, validate_instance
-from .errors import InvalidCost, ParseError
+from .errors import InvalidCost, InvalidParameters, ParseError
 
 
 def _load_json(text: str):
@@ -164,10 +164,11 @@ def export_dot(inst: TreeInstance | None = None, strategy: DecisionTree | None =
 
     With only an instance, emits the undirected tree; with a strategy,
     emits the rooted strategy as a digraph.  Node labels carry the vertex
-    id and, when the instance is available, its cost.
+    id and, when the instance is available, its cost.  Raises
+    :class:`InvalidParameters` when neither is given.
     """
     if inst is None and strategy is None:
-        raise ValueError("need an instance or a strategy to export")
+        raise InvalidParameters("need an instance or a strategy to export")
 
     def label(v: int) -> str:
         if inst is None:

@@ -679,7 +679,7 @@ def reference_vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
         labels[v] = lbl
         visible[v] = frozenset({lbl} | {l for l in counts if l > lbl})
 
-    return Ranking(labels, max(labels.values()))
+    return Ranking(labels)
 
 
 def reference_is_valid_ranking(inst: TreeInstance, labels: Mapping[int, int], within=None) -> bool:
@@ -786,15 +786,15 @@ def reference_create_decision_tree(
     n = norm.n
     if n == 1:
         dtree = DecisionTree(1, {})
-        return dtree, ApproxStats(0, None, (), reference_evaluate_cost(inst, dtree))
+        return dtree, ApproxStats(0, (), reference_evaluate_cost(inst, dtree))
 
-    schedule = cost_levels(n)
+    levels = cost_levels(n)
     records: list[LevelRecord] = []
 
     weights = norm.weights
 
     def recurse(region: frozenset[int], level: int) -> tuple[DecisionTree, int]:
-        a, _b = schedule.levels[level]
+        a, b = levels[level]
         cut = norm.cutoff(a)
         heavy = sum(1 for v in region if weights[v] > cut)
         if level == 0 or heavy == len(region):
@@ -812,17 +812,16 @@ def reference_create_decision_tree(
         )
 
         comps = induced_components(norm, region - seps.separators)
-        comp_modules = [heavy_modules(norm, a, within=comp).modules for comp in comps]
+        comp_modules = [heavy_modules(norm, a, within=comp) for comp in comps]
         k_region, _witness = k_up_modularity(norm, within=region)
         records.append(
             LevelRecord(
                 level=level,
                 lower=a,
-                upper=_b,
+                upper=b,
                 region_size=len(region),
                 module_count=len(seps.reps),
                 k_region=k_region,
-                separator_size=len(seps.separators),
                 aux_size=len(aux.vertices),
                 max_modules_per_component=max((len(ms) for ms in comp_modules), default=0),
             )
@@ -846,10 +845,10 @@ def reference_create_decision_tree(
                 depth = max(depth, part_depth)
         return strategy, depth + 1
 
-    dtree, depth_d = recurse(norm.vertex_set, schedule.count - 1)
+    dtree, depth_d = recurse(norm.vertex_set, len(levels) - 1)
     validate_decision_tree(norm, dtree)
     cost = reference_evaluate_cost(inst, dtree)
-    return dtree, ApproxStats(depth_d, schedule, tuple(records), cost)
+    return dtree, ApproxStats(depth_d, tuple(records), cost)
 
 
 # Instance generation and writing as the package did them before the

@@ -146,9 +146,9 @@ def test_criterion_07_auxiliary_tree_cost():
     while checked < 300:
         inst = mixed_instance(rng, 2, 14, models=("random", "planted-k", "alternating"))
         norm, _scale = oracles.normalize(inst)
-        schedule = cost_levels(norm.n)
-        for level in range(schedule.count - 1, -1, -1):
-            a, _b = schedule.levels[level]
+        levels = cost_levels(norm.n)
+        for level in range(len(levels) - 1, -1, -1):
+            a, _b = levels[level]
             heavy = {v for v in norm.vertex_set if norm.cost(v) > a}
             if level == 0 or len(heavy) == len(norm.vertex_set):
                 break  # base case: no separator on this instance

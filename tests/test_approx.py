@@ -68,18 +68,18 @@ def spider_fixture():
 
 class TestCostLevels:
     def test_n16_exact(self):
-        assert cost_levels(16).levels == ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
+        assert cost_levels(16) == ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
 
     def test_n4_exact(self):
-        assert cost_levels(4).levels == ((0.0, 0.5), (0.5, 1.0))
+        assert cost_levels(4) == ((0.0, 0.5), (0.5, 1.0))
 
     def test_n2_single_level(self):
-        assert cost_levels(2).levels == ((0.0, 1.0),)
+        assert cost_levels(2) == ((0.0, 1.0),)
 
     def test_n11_frozen(self):
-        schedule = cost_levels(11)
-        assert schedule.levels[0][1] == B0_N11
-        assert schedule.count == 3
+        levels = cost_levels(11)
+        assert levels[0][1] == B0_N11
+        assert len(levels) == 3
 
     def test_frozen_dyadic_for_11(self):
         mpmath = pytest.importorskip("mpmath")
@@ -95,8 +95,7 @@ class TestCostLevels:
     @given(st.integers(2, 3000))
     @settings(max_examples=120)
     def test_partition_and_doubling(self, n):
-        schedule = cost_levels(n)
-        levels = schedule.levels
+        levels = cost_levels(n)
         assert levels[0][0] == 0.0
         assert levels[-1][1] == 1.0
         for (a, b), (a2, b2) in zip(levels, levels[1:]):
@@ -104,7 +103,7 @@ class TestCostLevels:
             assert b2 <= 2 * a2
         for a, b in levels:
             assert a < b
-        assert schedule.count <= math.ceil(math.log2(math.log2(n))) + 2 if n > 2 else True
+        assert len(levels) <= math.ceil(math.log2(math.log2(n))) + 2 if n > 2 else True
         # the bottom bound never exceeds 1/log2(n)
         assert Fraction(levels[0][1]) * Fraction(math.log2(n)) <= Fraction(201, 200)
 
@@ -156,7 +155,7 @@ class TestSeparatorSets:
                 continue
             seps = separator_sets(norm, norm.vertex_set, t)
             for comp in oracles.induced_components(norm, norm.vertex_set - seps.separators):
-                assert heavy_modules(norm, t, within=comp).count <= 1
+                assert len(heavy_modules(norm, t, within=comp)) <= 1
 
 
 def original_edges(aux):
@@ -442,7 +441,7 @@ class TestCreateDecisionTree:
         cost = evaluate_cost(fix1, d)
         opt, _ = opt_exact(fix1)
         assert cost <= (4 * stats.depth_d + 2) * opt
-        assert stats.depth_d <= stats.schedule.count - 1
+        assert stats.depth_d <= len(cost_levels(fix1.n)) - 1
 
     def test_depth_counter_bound(self):
         rng = random.Random(89)
@@ -454,7 +453,7 @@ class TestCreateDecisionTree:
                 oracles.random_costs(n, rng),
             )
             d, stats = create_decision_tree(inst)
-            assert stats.depth_d <= stats.schedule.count - 1
+            assert stats.depth_d <= len(cost_levels(n)) - 1
             assert stats.depth_d <= math.ceil(math.log2(math.log2(n))) + 1 if n > 2 else True
 
     def test_per_level_invariants_on_mixed_corpus(self):
@@ -475,7 +474,6 @@ class TestCreateDecisionTree:
             validate_decision_tree(inst, d)
             assert stats.cost == evaluate_cost(inst, d)
             for rec in stats.records:
-                assert rec.aux_size == rec.separator_size
                 assert rec.aux_size <= 4 * rec.k_region - 3
                 assert rec.max_modules_per_component <= 1
                 runs += 1
@@ -493,9 +491,9 @@ class TestCreateDecisionTree:
                 oracles.random_costs(n, rng),
             )
             norm, _ = oracles.normalize(inst)
-            schedule = cost_levels(norm.n)
-            for level in range(schedule.count - 1, -1, -1):
-                a, _b = schedule.levels[level]
+            levels = cost_levels(norm.n)
+            for level in range(len(levels) - 1, -1, -1):
+                a, _b = levels[level]
                 heavy = {v for v in norm.vertex_set if norm.cost(v) > a}
                 if level == 0 or len(heavy) == len(norm.vertex_set):
                     break

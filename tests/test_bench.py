@@ -170,3 +170,13 @@ class TestBenchConfig:
     def test_count_and_state_limit_must_be_ints(self, kwargs):
         with pytest.raises(InvalidParameters, match="must be an integer"):
             BenchConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_range": ("2", 5)}, {"n_range": 5}, {"n_range": (2.5, 5)}, {"n_range": (True, 5)},
+        {"n_range": (2, 5, 7)}, {"exact_cap": "3"}, {"exact_cap": -1}, {"exact_cap": True},
+        {"shapes": ()}, {"shapes": "path"}, {"cost_models": []}, {"cost_models": "random"},
+        {"seed": None}, {"seed": 2.5}, {"seed": [1]},
+    ])
+    def test_every_field_is_checked(self, kwargs):
+        with pytest.raises(InvalidParameters):
+            BenchConfig(count=1, **kwargs)

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treesearch
-from treesearch import DecisionTree, parse_instance
-from treesearch.cli import _emit_json, main
+from treesearch import BenchConfig, BenchReport, DecisionTree, SolveLimits, parse_instance
+from treesearch.cli import _emit_json, build_parser, main
 
 
 def run_process(argv, timeout=120):
@@ -110,6 +110,20 @@ class TestSubcommands:
     def test_gen_output_parses(self, inst_file):
         inst = parse_instance(inst_file.read_text())
         assert inst.n == 9
+
+
+class TestParserDefaults:
+    def test_state_limit_defaults_to_the_solver_budget(self):
+        for command in ("solve", "exact"):
+            args = build_parser().parse_args([command, "--input", "instance.json"])
+            assert args.state_limit == SolveLimits().max_states
+
+    def test_bench_defaults_to_the_config_defaults(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr("treesearch.cli.run_bench",
+                            lambda config: seen.append(config) or BenchReport(()))
+        assert main(["bench", "--count", "3"]) == 0
+        assert seen == [BenchConfig(count=3)]
 
 
 class TestNestedStrategyText:

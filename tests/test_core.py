@@ -83,6 +83,15 @@ class TestValidateInstance:
         with pytest.raises(NotATree):
             tree_instance(2, [(1, 3)], [1, 1])
 
+    @pytest.mark.parametrize("n, edges, costs", [
+        (2.7, [(1, 2)], [1, 1]), ("a", [(1, 2)], [1, 1]), (True, [], [1]),
+        (2, [(1, 2.0)], [1, 1]), (2, [("1", 2)], [1, 1]), (2, [(True, 2)], [1, 1]),
+        (2, [(1, 2, 3)], [1, 1]), (2, [1], [1, 1]), (2, None, [1, 1]), (2, [(1, 2)], None),
+    ])
+    def test_malformed_parts_rejected(self, n, edges, costs):
+        with pytest.raises(NotATree):
+            tree_instance(n, edges, costs)
+
     def test_zero_cost_rejected(self):
         with pytest.raises(NonPositiveCost) as err:
             tree_instance(2, [(1, 2)], [1, 0])

@@ -22,40 +22,37 @@ from strategies import tree_instances
 
 class TestHeavyModules:
     def test_fixture_threshold_three_fifths(self, fix1):
-        dec = heavy_modules(fix1, Fraction(3, 5))
-        assert [sorted(m) for m in dec.modules] == [[6], [7], [11]]
-        assert dec.count == 3
+        modules = heavy_modules(fix1, Fraction(3, 5))
+        assert [sorted(m) for m in modules] == [[6], [7], [11]]
 
     def test_nothing_above_max(self, fix1):
-        assert heavy_modules(fix1, Fraction(1)).count == 0
+        assert heavy_modules(fix1, Fraction(1)) == ()
 
     def test_zero_threshold_whole_tree(self, fix1):
-        dec = heavy_modules(fix1, 0)
-        assert dec.count == 1
-        assert dec.modules[0] == fix1.vertex_set
+        assert heavy_modules(fix1, 0) == (fix1.vertex_set,)
 
     def test_float_threshold_compares_exactly(self, fix1):
         # 0.6 as a float is slightly below 3/5, so cost-3/5 vertices stay
         # heavy and v7-v9 form one module: {5}, {6}, {7,9}, {11}.
-        assert heavy_modules(fix1, 0.6).count == 4
-        assert heavy_modules(fix1, Fraction(3, 5)).count == 3
-        assert heavy_modules(fix1, 0.5).count == heavy_modules(fix1, Fraction(1, 2)).count
+        assert len(heavy_modules(fix1, 0.6)) == 4
+        assert len(heavy_modules(fix1, Fraction(3, 5))) == 3
+        assert heavy_modules(fix1, 0.5) == heavy_modules(fix1, Fraction(1, 2))
 
     @given(tree_instances(max_n=24))
     @settings(max_examples=60)
     def test_partition_maximal_nonadjacent(self, inst):
         rng = random.Random(31)
         t = Fraction(rng.randint(0, 12), 12)
-        dec = heavy_modules(inst, t)
+        modules = heavy_modules(inst, t)
         heavy = {v for v in inst.vertex_set if inst.cost(v) > t}
         union = set()
-        for mod in dec.modules:
+        for mod in modules:
             assert not (union & mod)
             union |= mod
         assert union == heavy
         # no two modules touch: that would contradict maximality
-        for i, a in enumerate(dec.modules):
-            for b in dec.modules[i + 1 :]:
+        for i, a in enumerate(modules):
+            for b in modules[i + 1 :]:
                 assert not any(u in b for v in a for u in inst.adjacency[v])
 
 
@@ -64,7 +61,7 @@ class TestKUpModularity:
         k, witness = k_up_modularity(fix1)
         assert k == 4
         assert witness == Fraction(1, 5)
-        mods = heavy_modules(fix1, witness).modules
+        mods = heavy_modules(fix1, witness)
         assert [sorted(m) for m in mods] == [[2, 5, 6], [7, 9], [8], [11]]
 
     def test_uniform_costs_give_one(self):
@@ -96,7 +93,7 @@ class TestKUpModularity:
         rng = random.Random(43)
         for _ in range(4):
             t = Fraction(rng.randint(0, 14), 14)
-            assert heavy_modules(inst, t).count <= k
+            assert len(heavy_modules(inst, t)) <= k
 
 
 class TestIsUpMonotonic:
@@ -141,7 +138,7 @@ class TestUnknownVertices:
             k_up_modularity(path3(), within=within)
 
     def test_empty_within(self):
-        assert heavy_modules(path3(), 0, within=set()).count == 0
+        assert heavy_modules(path3(), 0, within=set()) == ()
         assert k_up_modularity(path3(), within=set()) == (0, 0)
 
 
@@ -167,6 +164,6 @@ class TestAgainstThresholdScan:
         sub = data.draw(st.none() | st.sets(st.integers(1, inst.n)))
         c = data.draw(st.sampled_from(inst.costs))
         for t in (c, float(c), math.nextafter(float(c), 0.0), Fraction(c.numerator, c.denominator + 1)):
-            assert heavy_modules(inst, t, within=sub).modules == oracles.reference_heavy_modules(
+            assert heavy_modules(inst, t, within=sub) == oracles.reference_heavy_modules(
                 inst, t, within=sub
             )

@@ -50,6 +50,10 @@ class TestVertexRanking:
         # no valid ranking of a 7-path exists with only two labels
         assert not oracles.exists_ranking_with(uniform_path(7), 2, is_valid_ranking)
 
+    def test_max_label_follows_the_labels(self):
+        assert Ranking({1: 2, 2: 1, 3: 2}).max_label == 2
+        assert Ranking({}).max_label == 0
+
     def test_star_center_two(self):
         star = tree_instance(5, [(1, v) for v in range(2, 6)], [1] * 5)
         r = vertex_ranking(star)
@@ -166,7 +170,7 @@ class TestRankingBasedDT:
         validate_decision_tree(fix1, d)
 
     def test_duplicated_top_label_rejected(self, monkeypatch):
-        bad = Ranking({1: 2, 2: 1, 3: 2}, 2)
+        bad = Ranking({1: 2, 2: 1, 3: 2})
         monkeypatch.setattr("treesearch.ranking.vertex_ranking", lambda inst, within: bad)
         with pytest.raises(InvalidDecisionTree):
             ranking_based_dt(uniform_path(3))
@@ -235,7 +239,7 @@ class TestRankingAgainstReference:
         # are compared on connected sets only.
         within = data.draw(within_sets(inst, kinds=("all", "connected")))
         labels = data.draw(labelings(inst))
-        forced = Ranking(labels, max(labels.values()))
+        forced = Ranking(labels)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("treesearch.ranking.vertex_ranking", lambda inst, within: forced)
             patch.setattr(oracles, "reference_vertex_ranking", lambda inst, within: forced)

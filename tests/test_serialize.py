@@ -17,7 +17,7 @@ from treesearch import (
     serialize_instance,
     tree_instance,
 )
-from treesearch.errors import NonPositiveCost, NotATree, ParseError
+from treesearch.errors import InvalidParameters, NonPositiveCost, NotATree, ParseError
 
 import oracles
 from strategies import any_tree_instances
@@ -287,5 +287,5 @@ class TestExportDot:
         assert export_dot(inst=fix1, strategy=dfix2) == export_dot(inst=fix1, strategy=dfix2)
 
     def test_requires_an_argument(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             export_dot()
