@@ -66,6 +66,7 @@ from .core import (
 from .errors import (
     BranchOccupied,
     DuplicateVertex,
+    InvalidParameters,
     InvalidSize,
     NoHeavyVertex,
     NoNeighborQueried,
@@ -162,9 +163,9 @@ def _inv_log2_lower_bound(n: int) -> float:
 
 
 def cost_levels(n: int) -> tuple[tuple[float, float], ...]:
-    """The doubling intervals ``(a, b]`` partitioning ``(0, 1]`` for ``n`` vertices."""
-    if n < 2:
-        raise InvalidSize(f"cost levels require at least 2 vertices, got {n}")
+    """The doubling intervals ``(a, b]`` partitioning ``(0, 1]`` for ``n >= 2`` vertices."""
+    if type(n) is not int or n < 2:
+        raise InvalidSize(f"cost levels require an int of at least 2 vertices, got {n!r:.80}")
     b = _inv_log2_lower_bound(n)
     levels = [(0.0, b)]
     while b < 1.0:
@@ -261,7 +262,8 @@ def attach_subtree(
     region.  A strategy that leaves the region raises
     :class:`QueryOutsideCandidate`, a region holding queried vertices
     :class:`DuplicateVertex`, and a region not inside one response branch
-    :class:`NotConnected`.
+    :class:`NotConnected`.  Only the vertices the root of ``d`` reaches are
+    queried; child lists it does not reach are left out of the result.
     """
     parent, order = d.parent_map, d.order
     region = frozenset(region)
@@ -295,19 +297,11 @@ def attach_subtree(
     if stray:
         raise NotAPath(f"queried neighbours {stray} of the region are not ancestors of {deepest}")
 
-    # The branch of ``deepest`` through its region neighbour ``near`` is the
-    # subtree of ``near`` when ``near`` is a child of ``deepest`` in the tree
-    # rooted at vertex 1, and everything outside the subtree of ``deepest``
-    # when ``near`` is its parent.
-    up, first, last = inst.preorder
     near = touching[deepest]
-    if up[near] == deepest:
-        lo, hi, inside = first[near], last[near], True
-    else:
-        lo, hi, inside = first[deepest], last[deepest], False
-    if any((lo <= first[w] <= hi) != inside for w in region):
+    branch = next(c for c in induced_components(inst, inst.vertex_set - {deepest}) if near in c)
+    if not region <= branch:
         raise NotConnected(f"region is not inside one response branch of {deepest}")
-    if any((lo <= first[c] <= hi) == inside for c in d.child_list(deepest)):
+    if any(c in branch for c in d.child_list(deepest)):
         raise BranchOccupied(
             f"query {deepest} already has a child on the branch holding the region"
         )
@@ -334,8 +328,11 @@ def create_decision_tree(
     ends relative to the maximum cost, and the strategy's ``cost``.  Exact
     auxiliary solves share the given ``limits``; one that runs out raises
     :class:`StateLimitExceeded` naming the level, the region size and the
-    auxiliary tree size.
+    auxiliary tree size.  ``limits`` that is neither ``None`` nor a
+    :class:`SolveLimits` raises :class:`InvalidParameters`.
     """
+    if limits is not None and not isinstance(limits, SolveLimits):
+        raise InvalidParameters(f"limits must be a SolveLimits, got {type(limits).__name__}")
     n = inst.n
     if n == 1:
         return DecisionTree(1, {}), ApproxStats(0, (), inst.costs[0])

@@ -12,16 +12,17 @@ Searches of the tree go through two helpers here:
 :func:`induced_components` finds the connected pieces of a vertex set
 (response components, heavy modules, leftover regions) and
 :func:`rooted_order` roots a connected set (separator spans, rankings,
-the exact solver's edge sides).  The other walks are sweeps over :attr:`TreeInstance.adjacency`:
-the early-stopping contraction in ``approx``, and the union-find sweeps
-of ``modularity`` (decreasing cost) and ``ranking`` (increasing label).
-A strategy's child lists are walked in one place, into the cached
-:attr:`DecisionTree.parent_map` and :attr:`DecisionTree.order`; its
-vertex set, depth and query sequences, ``approx.attach_subtree`` and the
-check and price of :func:`validate_decision_tree` and
-:func:`evaluate_cost` all read that walk, the last two adding one pass
-over the instance edges.  Every ``within`` argument is resolved by
-:meth:`TreeInstance.subset`.
+the exact solver's edge sides).  One union-find sweep, ``_sweep``,
+reports which vertex joins each piece in a given order: ``ranking``
+(increasing label), ``modularity`` (decreasing cost) and the strategy
+check here (children first) read it; the early-stopping contraction in
+``approx`` keeps its own walk.  A strategy's child lists are walked in
+one place, into the cached :attr:`DecisionTree.parent_map` and
+:attr:`DecisionTree.order`; its vertex set, depth and query sequences,
+``approx.attach_subtree`` and the check and price of
+:func:`validate_decision_tree` and :func:`evaluate_cost` all read that
+walk, the last two adding the sweep.
+Every ``within`` argument is resolved by :meth:`TreeInstance.subset`.
 
 All cost arithmetic is exact.  Costs are `fractions.Fraction` at the API
 boundary: :func:`validate_instance` (and so :func:`tree_instance`) takes
@@ -55,6 +56,7 @@ from .errors import (
     ComponentMismatch,
     DuplicateVertex,
     InvalidCost,
+    InvalidDecisionTree,
     InvalidParameters,
     MissingVertex,
     NonPositiveCost,
@@ -114,10 +116,19 @@ class TreeInstance:
         return (0,) + tuple(c.numerator * (denom // c.denominator) for c in self.costs)
 
     def subset(self, within) -> frozenset[int]:
-        """The vertex set ``within`` (all vertices for ``None``), checked to lie in ``1..n``."""
+        """The vertex set ``within`` (all vertices for ``None``), checked to lie in ``1..n``.
+
+        Raises :class:`InvalidParameters` unless ``within`` is an iterable of
+        ints and :class:`UnknownVertex` for an int outside ``1..n``.
+        """
         if within is None:
             return self.vertex_set
-        verts = frozenset(within)
+        try:
+            verts = frozenset(within)
+        except TypeError as exc:
+            raise InvalidParameters(f"within must be a set of vertex ids ({exc})") from exc
+        if not set(map(type, verts)) <= {int}:
+            raise InvalidParameters(f"within holds ids that are not ints: {within!r:.80}")
         unknown = verts - self.vertex_set
         if unknown:
             raise UnknownVertex(f"vertices {sorted(unknown)} are not in 1..{self.n}")
@@ -141,19 +152,6 @@ class TreeInstance:
             raise InvalidParameters(f"threshold is not a rational: {threshold!r:.80}") from exc
         return (p * self.denominator) // q
 
-    @cached_property
-    def preorder(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """``(parent, first, last)`` of the tree rooted at vertex 1, by vertex id.
-
-        ``first[v]`` is the preorder index of ``v`` and ``last[v]`` the
-        largest one in its subtree, so ``u`` lies in the subtree of ``v``
-        exactly when ``first[v] <= first[u] <= last[v]``; ``parent[1]`` is 0.
-        """
-        order, parent = rooted_order(self, self.vertex_set, 1)
-        first, last = _intervals(order, parent, self.n)
-        parent = [parent.get(v, 0) for v in range(self.n + 1)]
-        return tuple(parent), tuple(first), tuple(last)
-
 
 @dataclass(frozen=True)
 class DecisionTree:
@@ -164,6 +162,8 @@ class DecisionTree:
     The child lists are walked once, on first use, into :attr:`parent_map`
     and :attr:`order`, cached together, which the other views read; each
     view raises :class:`DuplicateVertex` when a vertex is listed twice.
+    ``children`` that is not a mapping of child lists raises
+    :class:`InvalidDecisionTree`.
     """
 
     root: int
@@ -171,10 +171,13 @@ class DecisionTree:
 
     def __post_init__(self):
         cleaned = {}
-        for q, kids in dict(self.children).items():
-            kids = tuple(kids)
-            if kids:
-                cleaned[q] = kids
+        try:
+            for q, kids in dict(self.children).items():
+                kids = tuple(kids)
+                if kids:
+                    cleaned[q] = kids
+        except (TypeError, ValueError) as exc:
+            raise InvalidDecisionTree(f"children must map queries to child lists ({exc})") from exc
         object.__setattr__(self, "children", cleaned)
 
     def child_list(self, v: int) -> tuple[int, ...]:
@@ -404,26 +407,31 @@ def split_components(inst: TreeInstance, candidate, v: int) -> list[frozenset[in
     return induced_components(inst, cand - {v})
 
 
-def _intervals(order, parent, n: int) -> tuple[list[int], list[int]]:
-    """Preorder ``first`` and subtree-end ``last`` indices, by vertex id (others 0).
+def _sweep(inst: TreeInstance, order) -> dict[int, int]:
+    """For the top of each piece that a later vertex of ``order`` joins, that vertex.
 
-    ``order`` is parents first from the root and ``parent`` maps the rest.
+    The vertices are added in ``order`` to a union-find forest of the
+    pieces their edges join, and each one becomes the top of the piece it
+    closes, so the result is the parent map of Liu's elimination tree
+    (SIAM J. Matrix Anal. Appl. 1990).  A top never joined has no entry.
     """
-    size = [1] * (n + 1)
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    first = [0] * (n + 1)
-    free = [1] * (n + 1)  # next unused preorder index below each vertex
-    for v in order[1:]:
-        p = parent[v]
-        first[v] = free[p]
-        free[p] += size[v]
-        free[v] = first[v] + 1
-    return first, [f + k - 1 for f, k in zip(first, size)]
+    adjacency = inst.adjacency
+    top: dict[int, int] = {}  # union-find links of the swept vertices
+    joiner: dict[int, int] = {}
+    for v in order:
+        top[v] = v
+        for u in adjacency[v]:
+            if u in top:
+                while top[u] != u:  # path halving up to the top of u's piece
+                    top[u] = u = top[top[u]]
+                top[u] = joiner[u] = v
+    return joiner
 
 
 def _strategy_order(inst: TreeInstance, d: DecisionTree, within):
     """``d.order`` and ``d.parent_map``, checked to be a strategy on the universe."""
+    if not isinstance(d, DecisionTree):
+        raise InvalidParameters(f"strategy must be a DecisionTree, got {type(d).__name__}")
     universe = inst.subset(within)
     parent = d.parent_map
     extra = sorted(parent.keys() - universe)
@@ -436,26 +444,25 @@ def _strategy_order(inst: TreeInstance, d: DecisionTree, within):
         unreachable = sorted(universe - set(order))
         raise MissingVertex(f"vertices not reachable from the root: {unreachable}")
 
-    # Vertices outside the universe keep first == 0, so each edge inside it
-    # is seen once, from the end numbered first, which must be an ancestor
-    # of the other; inner[v] ends up counting the edges inside v's subtree.
-    first, last = _intervals(order, parent, inst.n)
-    inner = [0] * (inst.n + 1)
-    adjacency = inst.adjacency
-    for u in universe:
-        lo, hi = first[u], last[u]
-        for v in adjacency[u]:
-            if first[v] > lo:
-                if first[v] > hi:
-                    x = parent[u]
-                    while not first[x] <= first[v] <= last[x]:
-                        x = parent[x]
-                    raise ComponentMismatch(x)
-                inner[u] += 1
-    for v in reversed(order[1:]):
-        if inner[v] < last[v] - first[v]:
-            raise ComponentMismatch(parent[v])
-        inner[parent[v]] += inner[v]
+    # Swept children first, a valid strategy is its own elimination tree:
+    # the piece of every vertex is joined by its parent, except that the root
+    # of a disconnected universe may leave some of its children's pieces
+    # alone.  Up to the first vertex that breaks this, each piece is the
+    # subtree of its top.
+    joiner = _sweep(inst, reversed(order))
+    for t in reversed(order):
+        v = joiner.get(t, 0)
+        if v != parent[t]:
+            if v:  # an edge from v into t's subtree: raise where they meet
+                above = set()
+                while v:
+                    above.add(v)
+                    v = parent[v]
+                while t not in above:
+                    t = parent[t]
+                raise ComponentMismatch(t)
+            if parent[t] != d.root:  # t's parent did not join all its children
+                raise ComponentMismatch(parent[parent[t]])
     return order, parent
 
 
@@ -470,6 +477,8 @@ def validate_decision_tree(
     the universe joins a query to one of its descendants, and the vertices
     below each non-root query induce a connected subtree.  ``within``
     restricts the universe to a vertex subset (defaults to all vertices).
+    A ``d`` that is not a :class:`DecisionTree` raises
+    :class:`InvalidParameters`.
     """
     _strategy_order(inst, d, within)
     return d

@@ -72,10 +72,13 @@ def opt_exact(
     without recursion, so the stack limit applies only to other trees;
     a path of ``m`` vertices needs ``m * (m - 1) / 2`` states (its
     intervals of two or more vertices) and fails before any work when
-    that exceeds the budget.
+    that exceeds the budget.  ``limits`` that is neither ``None`` nor a
+    :class:`SolveLimits` raises :class:`InvalidParameters`.
     """
     if limits is None:
         limits = SolveLimits()
+    elif not isinstance(limits, SolveLimits):
+        raise InvalidParameters(f"limits must be a SolveLimits, got {type(limits).__name__}")
     verts = sorted(inst.subset(within))
     m = len(verts)
     if m == 0:

@@ -10,16 +10,18 @@ single group at every threshold is exactly the monotone case.
 Thresholds may be exact rationals, integers or binary64 floats; each is
 turned into one integer cutoff on the instance's integer weights
 (:meth:`TreeInstance.cutoff`), so the comparison is exact.  The modularity
-parameter comes from one union-find sweep over the vertices in
-decreasing cost order: after each group of equal costs is added, the
-number of components is the heavy-module count at the next lower cost.
+parameter comes from the union-find sweep of ``core`` over the vertices in
+decreasing cost order: each vertex adds one piece and removes the pieces
+it joins, and after each group of equal costs the number of pieces is
+the heavy-module count at the next lower cost.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
-from .core import TreeInstance, induced_components, rooted_order
+from .core import TreeInstance, _sweep, induced_components, rooted_order
 
 
 def heavy_modules(inst: TreeInstance, threshold, within=None) -> tuple[frozenset[int], ...]:
@@ -41,45 +43,25 @@ def k_up_modularity(inst: TreeInstance, within=None) -> tuple[int, Fraction]:
 
     The count is piecewise constant in the threshold and only changes at
     cost values, so ``{0}`` plus the distinct costs cover every piece.
-    Adding the vertices in decreasing cost order to a union-find forest,
-    the number of trees after the last vertex of cost ``c`` is the count
-    at the next lower cost (or at 0), in O(m log m) for ``m`` vertices.
+    Sweeping the vertices in decreasing cost order, the number of pieces
+    after the last vertex of cost ``c`` is the count at the next lower
+    cost (or at 0), in O(m log m) for ``m`` vertices.
     Returns ``(k, t)`` where ``t`` is the smallest threshold attaining the
     maximum.  Raises :class:`UnknownVertex` for ids in ``within`` outside
     ``1..n``.
     """
     verts = inst.subset(within)
     weights = inst.weights
-    adjacency = inst.adjacency
     order = sorted(verts, key=weights.__getitem__, reverse=True)
-    forest: dict[int, int] = {}  # union-find parent of every vertex added so far
-
-    def find(x: int) -> int:
-        while forest[x] != x:
-            forest[x] = x = forest[forest[x]]
-        return x
-
-    best_k, witness = 0, Fraction(0)
-    count = 0
-    i, m = 0, len(order)
-    while i < m:
-        weight = weights[order[i]]
-        while i < m and weights[order[i]] == weight:
-            v = order[i]
-            i += 1
-            forest[v] = v
-            count += 1
-            for u in adjacency[v]:
-                if u in forest:
-                    ru = find(u)
-                    if ru != v:
-                        forest[ru] = v
-                        count -= 1
-        # Ties go to the later, smaller threshold.
-        if count >= best_k:
-            best_k = count
-            witness = inst.cost(order[i]) if i < m else Fraction(0)
-    return best_k, witness
+    joins = Counter(_sweep(inst, order).values())
+    best_k = count = witness = 0
+    for v, after in zip(order, order[1:] + [0]):
+        count += 1 - joins.get(v, 0)
+        # After the last vertex of its cost (weights[0] is 0), the count holds
+        # down to the next lower cost; ties go to that smaller threshold.
+        if weights[after] != weights[v] and count >= best_k:
+            best_k, witness = count, after
+    return best_k, Fraction(weights[witness], inst.denominator)
 
 
 def is_up_monotonic(inst: TreeInstance) -> bool:

@@ -13,9 +13,9 @@ The ranking itself is computed bottom-up: each rooted subtree reports the
 set of labels still "visible" from its root (no larger label in between),
 and a vertex takes the smallest label that is not visible in any child
 and exceeds every label visible twice; label sets are int bitmasks
-(Schäffer, IPL 1989).  Checking labels and building their strategy is one
-union-find sweep in increasing label order (Liu's elimination tree, SIAM
-J. Matrix Anal. Appl. 1990).
+(Schäffer, IPL 1989).  Checking labels and building their strategy is the
+union-find sweep of ``core`` in increasing label order (Liu's elimination
+tree, SIAM J. Matrix Anal. Appl. 1990).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import DecisionTree, TreeInstance, rooted_order
+from .core import DecisionTree, TreeInstance, _sweep, rooted_order
 from .errors import InvalidDecisionTree, InvalidParameters, NotConnected
 
 
@@ -71,8 +71,9 @@ def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
 def _elimination_tree(inst: TreeInstance, labels: Mapping[int, int], within):
     """``(root, children)`` of the strategy ``labels`` induce, or ``None`` if no ranking.
 
-    Each vertex adopts the tops of its visited neighbours' pieces, ordered
-    by smallest vertex; a top labelled at least as high breaks the ranking.
+    Swept in increasing label order, each vertex adopts the tops of its
+    visited neighbours' pieces, ordered by smallest vertex; a top labelled
+    as high as the vertex breaks the ranking.
     """
     verts = inst.subset(within)
     unlabelled = sorted(v for v in verts if v not in labels)
@@ -80,25 +81,19 @@ def _elimination_tree(inst: TreeInstance, labels: Mapping[int, int], within):
         raise InvalidParameters(f"vertices {unlabelled} have no label")
     order = sorted(verts, key=labels.__getitem__)
 
-    adjacency = inst.adjacency
-    up: dict[int, int] = {}  # union-find links of the visited vertices
-    low: dict[int, int] = {}  # smallest vertex of each top's piece
-    children: dict[int, list[int]] = {}
-    ranked = True
-    for v in order:
-        up[v] = v
-        kids = children[v] = []
-        for u in adjacency[v]:
-            if u in up:
-                while up[u] != u:  # path halving up to the top of u's piece
-                    up[u] = u = up[up[u]]
-                ranked &= labels[u] < labels[v]
-                up[u] = v
-                kids.append(u)
-        kids.sort(key=low.__getitem__)
-        low[v] = min(v, low[kids[0]]) if kids else v
-    if sum(map(len, children.values())) != len(order) - 1:
+    joiner = _sweep(inst, order)
+    if len(joiner) != len(order) - 1:
         raise NotConnected(f"vertex set of size {len(order)} is not connected")
+    low = dict(zip(order, order))  # smallest vertex of each top's piece
+    children: dict[int, list[int]] = {}
+    for t in order:  # each top comes before the vertex that joins it
+        v = joiner.get(t)
+        if v:
+            low[v] = min(low[v], low[t])
+            children.setdefault(v, []).append(t)
+    for kids in children.values():
+        kids.sort(key=low.__getitem__)
+    ranked = all(labels[t] < labels[v] for t, v in joiner.items())
     return (order[-1], children) if ranked else None
 
 

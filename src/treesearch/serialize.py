@@ -15,8 +15,8 @@ object may repeat a key.  Serialization is canonical, so equal values
 produce byte-identical text: the text ``json.dumps(doc, indent=2)``
 gives, which both writers build directly, in one pass.  Every malformed
 document, including text that is not UTF-8, nesting too deep for the
-JSON decoder and JSON numbers past the interpreter's digit limit, raises
-:class:`ParseError`.
+JSON decoder, JSON numbers past the interpreter's digit limit and a
+document that is not text at all, raises :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .errors import InvalidCost, InvalidParameters, ParseError
 
 
 def _load_json(text: str):
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ParseError(f"a document must be text, got {type(text).__name__}")
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

@@ -11,7 +11,8 @@ time), ``reference_k_up_modularity`` (one heavy-module
 scan per distinct cost, comparing rational costs directly) and
 ``reference_attach_subtree`` (the graft that rebuilds whole-strategy
 maps and splits the whole tree on every call, reading the strategy
-through ``reference_vertex_set`` and ``reference_parent_map``),
+through ``reference_vertex_set`` and ``reference_parent_map`` after
+leaving out the child lists its root does not reach),
 ``reference_vertex_set`` / ``reference_parent_map`` / ``reference_depth``
 / ``reference_query_sequence`` (each its own pass over the child lists,
 with no shared walk; the parent map leaves out the root), and
@@ -506,8 +507,13 @@ def reference_attach_subtree(d, inst, region, sub_dt):
     of them, on the response branch holding the region.  A strategy that
     leaves the region raises :class:`QueryOutsideCandidate`, a region
     holding queried vertices :class:`DuplicateVertex`, and a region not
-    inside one response branch :class:`NotConnected`.
+    inside one response branch :class:`NotConnected`.  Child lists that the
+    root of ``d`` does not reach are no part of it and are left out.
     """
+    reached = [d.root]
+    for q in reached:
+        reached.extend(d.child_list(q))
+    d = DecisionTree(d.root, {q: d.child_list(q) for q in reached})
     region = frozenset(region)
     outside = reference_vertex_set(sub_dt) - region
     if outside:

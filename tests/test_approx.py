@@ -37,6 +37,7 @@ from treesearch.approx import SeparatorSets
 from treesearch.errors import (
     BranchOccupied,
     DuplicateVertex,
+    InvalidParameters,
     InvalidSize,
     NoHeavyVertex,
     NoNeighborQueried,
@@ -91,6 +92,11 @@ class TestCostLevels:
     def test_too_small(self):
         with pytest.raises(InvalidSize):
             cost_levels(1)
+
+    @pytest.mark.parametrize("n", [2.5, "3", None])
+    def test_vertex_count_must_be_an_int(self, n):
+        with pytest.raises(InvalidSize):
+            cost_levels(n)
 
     @given(st.integers(2, 3000))
     @settings(max_examples=120)
@@ -279,6 +285,12 @@ class TestAttachSubtree:
         with pytest.raises(NotConnected):
             attach_subtree(DecisionTree(3, {}), path5(), {2, 4}, DecisionTree(2, {2: (4,)}))
 
+    def test_unreachable_child_lists_are_left_out(self):
+        path6 = tree_instance(6, [(i, i + 1) for i in range(1, 6)], [1] * 6)
+        d = DecisionTree(3, {3: (2,), 5: (6,)})
+        for graft in (attach_subtree, oracles.reference_attach_subtree):
+            assert graft(d, path6, {4}, DecisionTree(4, {})) == DecisionTree(3, {3: (2, 4)})
+
     def test_checks_survive_optimized_mode(self):
         script = (
             "from treesearch import DecisionTree, attach_subtree, tree_instance\n"
@@ -328,6 +340,19 @@ def _draw_partial_strategy(inst, data):
     return DecisionTree(verts[0], children), None
 
 
+def _with_stray_lists(inst, d, data):
+    """``d``, or ``d`` plus child lists its root never reaches, on vertices it does not list."""
+    free = sorted(inst.vertex_set - d.vertex_set)
+    if len(free) < 2 or not data.draw(st.booleans()):
+        return d
+    stray = data.draw(st.permutations(free))[: data.draw(st.integers(2, len(free)))]
+    children = dict(d.children)
+    for i, v in enumerate(stray[1:], start=1):
+        above = stray[data.draw(st.integers(0, i - 1))]
+        children[above] = children.get(above, ()) + (v,)
+    return DecisionTree(d.root, children)
+
+
 def _draw_graft(inst, d, full, data):
     """A region and a strategy for it: a pending subtree of ``full``, or random."""
     queried = d.vertex_set
@@ -370,6 +395,7 @@ class TestGraftAgainstReference:
     @settings(max_examples=400)
     def test_same_tree_or_same_error(self, inst, data):
         d, full = _draw_partial_strategy(inst, data)
+        d = _with_stray_lists(inst, d, data)
         for _ in range(3):
             region, sub_dt = _draw_graft(inst, d, full, data)
             got = _graft_outcome(attach_subtree, d, inst, region, sub_dt)
@@ -395,6 +421,12 @@ LARGE_SHA256 = "d12510f03d68f760a2f9921e819b6966f774ef2f259c4d1726f546df5417ecf0
 
 
 class TestCreateDecisionTree:
+    @pytest.mark.parametrize("limits", [5, "5", 2.5])
+    def test_limits_must_be_solve_limits(self, limits):
+        uniform = tree_instance(3, [(1, 2), (2, 3)], [1, 1, 1])  # needs no exact solve
+        with pytest.raises(InvalidParameters, match="limits must be a SolveLimits"):
+            create_decision_tree(uniform, limits=limits)
+
     def test_separator_leaving_two_modules(self, monkeypatch):
         lone = frozenset({1})
         monkeypatch.setattr("treesearch.approx.separator_sets",

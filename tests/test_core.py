@@ -30,6 +30,7 @@ from treesearch import (
     tree_instance,
     validate_decision_tree,
     validate_instance,
+    vertex_ranking,
     TreeInstance,
 )
 from treesearch.core import induced_components, rooted_order
@@ -313,24 +314,6 @@ class TestIntegerWeights:
                 _heavy_agrees(inst, x)
         _heavy_agrees(inst, data.draw(st.floats(allow_nan=True)))
 
-    @given(tree_instances(max_n=20))
-    @settings(max_examples=80)
-    def test_preorder_intervals_are_subtrees(self, inst):
-        parent, first, last = inst.preorder
-        assert parent[1] == 0 and first[1] == 0 and last[1] == inst.n - 1
-        assert sorted(first[1:]) == list(range(inst.n))
-        for v in range(1, inst.n + 1):
-            below = {u for u in range(1, inst.n + 1) if first[v] <= first[u] <= last[v]}
-            # u is below v exactly when the path from u to vertex 1 passes v
-            for u in range(1, inst.n + 1):
-                x = u
-                while x and x != v:
-                    x = parent[x]
-                assert (u in below) == (x == v)
-            if v != 1:
-                assert parent[v] in inst.adjacency[v]
-                assert first[parent[v]] < first[v]
-
 
 class TestValidateDecisionTree:
     def test_fixture_strategy_accepted(self, fix1, dfix2):
@@ -380,6 +363,24 @@ class TestWithinIds:
         assert P3.subset(()) == frozenset()
         with pytest.raises(UnknownVertex):
             P3.subset({1, 4})
+
+    @pytest.mark.parametrize("within", [5, [2.0], [True], ["1"], [[1]]])
+    def test_within_of_ids_that_are_not_ints(self, within):
+        with pytest.raises(InvalidParameters):
+            P3.subset(within)
+        with pytest.raises(InvalidParameters):
+            vertex_ranking(P3, within=within)
+
+    def test_strategy_that_is_not_a_decision_tree(self):
+        with pytest.raises(InvalidParameters):
+            evaluate_cost(P3, None)
+        with pytest.raises(InvalidParameters):
+            validate_decision_tree(P3, None)
+
+    @pytest.mark.parametrize("children", [{2: 5}, 5, [(1, 2, 3)]])
+    def test_child_lists_that_are_not_lists(self, children):
+        with pytest.raises(InvalidDecisionTree):
+            DecisionTree(2, children)
 
     def test_evaluate_cost_rejects_vertex_0(self):
         with pytest.raises(UnknownVertex):
@@ -525,8 +526,11 @@ def _draw_strategy(inst, universe, data):
 def _mismatched(inst, d, universe, q):
     """Whether the children of query ``q`` differ from its response components."""
 
-    def below(v):
-        return frozenset({v}).union(*(below(c) for c in d.child_list(v)))
+    def below(v):  # a loop, not recursion, so deep strategies stay in bounds
+        verts = [v]
+        for x in verts:
+            verts.extend(d.child_list(x))
+        return frozenset(verts)
 
     cand = universe if q == d.root else below(q)
     return {below(c) for c in d.child_list(q)} != set(split_components(inst, cand, q))
@@ -571,6 +575,65 @@ class TestStrategyCheckAgainstReference:
             (path, DecisionTree(n, {i + 1: (i,) for i in range(1, n)})),
         ]:
             assert evaluate_cost(instance, d) == oracles.reference_evaluate_cost(instance, d)
+
+
+def _deep_mutants(d, rng, count):
+    """``count`` copies of ``d``, each with one vertex of its deepest tenth reparented or swapped."""
+    parent, order = d.parent_map, d.order
+    deep = order[len(order) - max(1, len(order) // 10):]
+    for i in range(count):
+        v = rng.choice(deep)
+        children = {q: list(kids) for q, kids in d.children.items()}
+        if i % 2:  # swap v's id with another's
+            w = rng.choice(order)
+            swap = {v: w, w: v}
+            root = swap.get(d.root, d.root)
+            children = {swap.get(q, q): [swap.get(c, c) for c in kids] for q, kids in children.items()}
+        else:  # move v, with its subtree, below a vertex outside it
+            subtree = [v]
+            for x in subtree:
+                subtree.extend(children.get(x, ()))
+            rest = sorted(set(order) - set(subtree) - {parent[v]})
+            if not rest:
+                continue
+            root = d.root
+            children[parent[v]].remove(v)
+            children.setdefault(rng.choice(rest), []).append(v)
+        yield DecisionTree(root, children)
+
+
+def _leaf_chain(inst):
+    """The strategy of depth n that always queries a leaf of what is left."""
+    order, _parent = rooted_order(inst, inst.vertex_set, 1)
+    order.reverse()
+    return DecisionTree(order[0], {a: (b,) for a, b in zip(order, order[1:])})
+
+
+class TestDeepInvalidStrategies:
+    """One deep vertex moved or renamed, against the check that re-runs the search."""
+
+    @pytest.mark.parametrize("shape, n", [("path", 300), ("path", 1500),
+                                          ("random", 400), ("random", 1500)])
+    def test_same_outcome_and_a_mismatched_query(self, shape, n):
+        rng = random.Random(n)
+        if shape == "path":
+            inst = tree_instance(n, [(i, i + 1) for i in range(1, n)], [1] * n)
+        else:
+            inst = oracles.random_attachment_tree(n, rng, oracles.random_costs(n, rng))
+        strategies = [ranking_based_dt(inst)]
+        if n <= 400:  # the reference check takes time quadratic in the depth
+            strategies.append(_leaf_chain(inst))
+        outcomes = set()
+        for d in strategies:
+            for bad in _deep_mutants(d, rng, 6):
+                expected = oracles.outcome(oracles.reference_validate_decision_tree, inst, bad)
+                assert oracles.outcome(validate_decision_tree, inst, bad) == expected
+                outcomes.add(expected if isinstance(expected, type) else DecisionTree)
+                if expected is ComponentMismatch:
+                    with pytest.raises(ComponentMismatch) as caught:
+                        validate_decision_tree(inst, bad)
+                    assert _mismatched(inst, bad, inst.vertex_set, caught.value.vertex)
+        assert ComponentMismatch in outcomes
 
 
 def _mutated_child_map(inst, data):

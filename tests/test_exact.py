@@ -115,6 +115,12 @@ class TestOptExact:
         with pytest.raises(InvalidParameters, match="max_states must be an integer"):
             SolveLimits(budget)
 
+    @pytest.mark.parametrize("limits", [5, "5", 2.5])
+    def test_limits_must_be_solve_limits(self, limits):
+        star = tree_instance(4, [(1, 2), (1, 3), (1, 4)], [1, 2, 3, 4])
+        with pytest.raises(InvalidParameters, match="limits must be a SolveLimits"):
+            opt_exact(star, limits=limits)
+
     def test_deep_non_path_recursion_is_state_limit(self):
         n = 1500
         edges = [(i, i + 1) for i in range(1, n)] + [(n // 2, n + 1)]

@@ -257,6 +257,13 @@ class TestStrategyRoundTrip:
             parse_decision_tree(text)
 
 
+@pytest.mark.parametrize("parse", [parse_instance, parse_decision_tree])
+@pytest.mark.parametrize("doc", [5, None, ["{}"]])
+def test_document_that_is_not_text(parse, doc):
+    with pytest.raises(ParseError):
+        parse(doc)
+
+
 class TestExportDot:
     def test_single_vertex_graph(self):
         inst = tree_instance(1, [], [1])
