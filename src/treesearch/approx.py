@@ -11,8 +11,9 @@ more than ``a * M``:
   reached) the uniform-cost ranking strategy is good enough.
 * Otherwise a small separator is built: one representative per heavy
   module, the branch vertices of their spanning subtree, and the cheapest
-  interior vertex of each corridor between those anchors.  Contracting
-  the tree onto the separator gives an auxiliary instance small enough to
+  interior vertex of each corridor between those anchors.  The walk up
+  each corridor also records which separators are adjacent in the tree
+  contracted onto the separator, an auxiliary instance small enough to
   solve exactly; its strategy queries the whole separator.
 * Every remaining component holds at most one heavy module, whose ranking
   strategy hangs below the separators; the all-light leftovers recurse one
@@ -83,18 +84,19 @@ from .ranking import ranking_based_dt
 
 @dataclass(frozen=True)
 class SeparatorSets:
-    """The three nested vertex sets that isolate heavy modules.
+    """The separators that isolate heavy modules, and their contraction.
 
-    ``reps`` holds one representative per heavy module; ``anchors`` adds
-    every branch vertex (degree three or more) of the subtree spanning the
-    representatives; ``separators`` adds the cheapest interior vertex of
-    each corridor between consecutive anchors.  Removing ``separators``
-    leaves components with at most one heavy module each.
+    ``reps`` holds one representative per heavy module; ``separators``
+    adds every branch vertex (degree three or more) of the subtree spanning
+    them and the cheapest interior vertex of each corridor between those
+    anchors; ``above`` maps every separator but ``min(reps)`` to the
+    nearest separator on its path to ``min(reps)``.  Removing
+    ``separators`` leaves components with at most one heavy module each.
     """
 
     reps: frozenset[int]
-    anchors: frozenset[int]
     separators: frozenset[int]
+    above: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -181,9 +183,10 @@ def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
     (ties to the smallest id); corridor picks take the cheapest interior
     vertex (ties to the smallest id).  Requires at least one vertex of the
     region to cost more than the threshold; raises :class:`NotConnected`
-    when the region is not connected.
+    when the region is not connected, and what :meth:`TreeInstance.subset`
+    raises when it is not a set of vertex ids.
     """
-    region = frozenset(region)
+    region = inst.subset(region)
     modules = heavy_modules(inst, threshold, within=region)
     if not modules:
         raise NoHeavyVertex(f"no vertex in the region costs more than {threshold}")
@@ -205,7 +208,9 @@ def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
     children = Counter(parent[v] for v in span[1:])
     anchors = reps | {v for v, c in children.items() if c >= 2}
 
-    separators = set(anchors)
+    # A corridor's pick, if any, is the nearest separator above its lower
+    # anchor, and the next anchor up the nearest one above the pick.
+    above = {}
     for y in anchors - {root}:
         interior = []
         x = parent[y]
@@ -213,39 +218,28 @@ def separator_sets(inst: TreeInstance, region, threshold) -> SeparatorSets:
             interior.append(x)
             x = parent[x]
         if interior:
-            separators.add(min(interior, key=lambda v: (weights[v], v)))
+            above[y] = y = min(interior, key=lambda v: (weights[v], v))
+        above[y] = x
 
-    return SeparatorSets(reps, anchors, frozenset(separators))
+    return SeparatorSets(reps, frozenset(above) | {root}, above)
 
 
-def auxiliary_tree(inst: TreeInstance, separators) -> AuxiliaryTree:
-    """Contract the tree onto a separator set.
+def auxiliary_tree(inst: TreeInstance, seps: SeparatorSets) -> AuxiliaryTree:
+    """Contract the tree onto the separators of ``seps``.
 
-    Two separator vertices are joined exactly when the path between them
-    contains no other separator vertex.  For separator sets produced by
-    :func:`separator_sets` (which include every branch vertex of their
-    spanning subtree) the result is a tree, found in one traversal rooted
-    at the smallest separator: every other separator is joined to its
-    nearest separator ancestor.
+    The separators are numbered ``1..m`` in increasing id and each is
+    joined to the separator ``seps.above`` names; nothing is walked.
+    ``seps`` that is not a :class:`SeparatorSets` raises
+    :class:`InvalidParameters`, no separators :class:`InvalidSize`, and an
+    ``above`` that does not join the separators into a tree :class:`NotATree`.
     """
-    zs = sorted(separators)
+    if not isinstance(seps, SeparatorSets):
+        raise InvalidParameters(f"separators must be a SeparatorSets, got {type(seps).__name__}")
+    zs = sorted(inst.subset(seps.separators))
     if not zs:
         raise InvalidSize("separator set must be non-empty")
     index = {v: i for i, v in enumerate(zs, 1)}
-    nearest = {zs[0]: zs[0]}  # closest separator at or above each visited vertex
-    edges = []
-    stack = [zs[0]]
-    while stack and len(edges) < len(zs) - 1:
-        x = stack.pop()
-        up = nearest[x]
-        for y in inst.adjacency[x]:
-            if y not in nearest:
-                if y in index:
-                    edges.append((index[up], index[y]))
-                    nearest[y] = y
-                else:
-                    nearest[y] = up
-                stack.append(y)
+    edges = [(index.get(y, 0), index.get(x, 0)) for y, x in seps.above.items()]
     instance = tree_instance(len(zs), edges, [inst.cost(v) for v in zs])
     return AuxiliaryTree(tuple(zs), instance)
 
@@ -261,12 +255,14 @@ def attach_subtree(
     child of the deepest of them, on the response branch holding the
     region.  A strategy that leaves the region raises
     :class:`QueryOutsideCandidate`, a region holding queried vertices
-    :class:`DuplicateVertex`, and a region not inside one response branch
-    :class:`NotConnected`.  Only the vertices the root of ``d`` reaches are
-    queried; child lists it does not reach are left out of the result.
+    :class:`DuplicateVertex`, a region not inside one response branch
+    :class:`NotConnected`, and one that is not a set of vertex ids what
+    :meth:`TreeInstance.subset` raises.  Only the vertices the root of
+    ``d`` reaches are queried; child lists it does not reach are left out
+    of the result.
     """
     parent, order = d.parent_map, d.order
-    region = frozenset(region)
+    region = inst.subset(region)
     outside = sub_dt.parent_map.keys() - region
     if outside:
         raise QueryOutsideCandidate(min(outside), f"graft leaves its region at {sorted(outside)}")
@@ -361,7 +357,7 @@ def create_decision_tree(
             return recurse(region, level - 1, above)
 
         seps = separator_sets(inst, region, threshold)
-        aux = auxiliary_tree(inst, seps.separators)
+        aux = auxiliary_tree(inst, seps)
         try:
             _cost_z, aux_dt = opt_exact(aux.instance, limits=limits)
         except StateLimitExceeded as exc:

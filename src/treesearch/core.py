@@ -15,9 +15,8 @@ Searches of the tree go through two helpers here:
 the exact solver's edge sides).  One union-find sweep, ``_sweep``,
 reports which vertex joins each piece in a given order: ``ranking``
 (increasing label), ``modularity`` (decreasing cost) and the strategy
-check here (children first) read it; the early-stopping contraction in
-``approx`` keeps its own walk.  A strategy's child lists are walked in
-one place, into the cached :attr:`DecisionTree.parent_map` and
+check here (children first) read it.  A strategy's child lists are
+walked in one place, into the cached :attr:`DecisionTree.parent_map` and
 :attr:`DecisionTree.order`; its vertex set, depth and query sequences,
 ``approx.attach_subtree`` and the check and price of
 :func:`validate_decision_tree` and :func:`evaluate_cost` all read that
@@ -500,8 +499,11 @@ def query_sequence(inst: TreeInstance, d: DecisionTree, x: int) -> QuerySequence
     Climbs :attr:`DecisionTree.parent_map` from ``x``, so it costs the
     length of the path and checks nothing else about ``d``.  Raises
     :class:`UnknownVertex` when ``x`` is not in ``d`` and
-    :class:`MissingVertex` when its parent chain never reaches the root.
+    :class:`MissingVertex` when its parent chain never reaches the root
+    (:class:`InvalidParameters` when ``d`` is not a :class:`DecisionTree`).
     """
+    if not isinstance(d, DecisionTree):
+        raise InvalidParameters(f"strategy must be a DecisionTree, got {type(d).__name__}")
     parents = d.parent_map
     if x not in parents:
         raise UnknownVertex(f"vertex {x} does not appear in the strategy")

@@ -68,14 +68,13 @@ def vertex_ranking(inst: TreeInstance, within=None) -> Ranking:
     return Ranking(labels)
 
 
-def _elimination_tree(inst: TreeInstance, labels: Mapping[int, int], within):
+def _elimination_tree(inst: TreeInstance, labels: Mapping[int, int], verts):
     """``(root, children)`` of the strategy ``labels`` induce, or ``None`` if no ranking.
 
     Swept in increasing label order, each vertex adopts the tops of its
     visited neighbours' pieces, ordered by smallest vertex; a top labelled
     as high as the vertex breaks the ranking.
     """
-    verts = inst.subset(within)
     unlabelled = sorted(v for v in verts if v not in labels)
     if unlabelled:
         raise InvalidParameters(f"vertices {unlabelled} have no label")
@@ -99,7 +98,7 @@ def _elimination_tree(inst: TreeInstance, labels: Mapping[int, int], within):
 
 def is_valid_ranking(inst: TreeInstance, labels: Mapping[int, int], within=None) -> bool:
     """Whether ``labels`` rank the connected set ``within`` (every vertex labelled)."""
-    return _elimination_tree(inst, labels, within) is not None
+    return _elimination_tree(inst, labels, inst.subset(within)) is not None
 
 
 def ranking_based_dt(inst: TreeInstance, within=None) -> DecisionTree:
@@ -110,8 +109,8 @@ def ranking_based_dt(inst: TreeInstance, within=None) -> DecisionTree:
     at most ``floor(log2 m) + 1``, and the result is an optimal strategy
     whenever all costs are equal.
     """
-    verts = inst.subset(within)
-    tree = _elimination_tree(inst, vertex_ranking(inst, within=verts).labels, verts)
+    labels = vertex_ranking(inst, within=within).labels
+    tree = _elimination_tree(inst, labels, labels.keys())
     if tree is None:
         raise InvalidDecisionTree("the labels are not a vertex ranking")
     return DecisionTree(*tree)

@@ -809,7 +809,7 @@ def reference_create_decision_tree(
             return recurse(region, level - 1)
 
         seps = separator_sets(norm, region, a)
-        aux = auxiliary_tree(norm, seps.separators)
+        aux = auxiliary_tree(norm, seps)
         _cost_z, aux_dt = opt_exact(aux.instance, limits=limits)
         back = aux.vertices
         strategy = DecisionTree(

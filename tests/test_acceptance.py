@@ -155,7 +155,7 @@ def test_criterion_07_auxiliary_tree_cost():
             if not heavy:
                 continue
             seps = separator_sets(norm, norm.vertex_set, a)
-            aux = auxiliary_tree(norm, seps.separators)
+            aux = auxiliary_tree(norm, seps)
             assert opt_exact(aux.instance)[0] <= opt_exact(norm)[0]
             checked += 1
             break

@@ -42,10 +42,12 @@ from treesearch.errors import (
     NoHeavyVertex,
     NoNeighborQueried,
     NotAPath,
+    NotATree,
     NotConnected,
     QueryOutsideCandidate,
     StateLimitExceeded,
     TreeSearchError,
+    UnknownVertex,
 )
 
 import oracles
@@ -119,20 +121,22 @@ class TestSeparatorSets:
         inst = tree_instance(3, [(1, 2), (2, 3)], [1, "1/10", 1])
         seps = separator_sets(inst, inst.vertex_set, 0.5)
         assert seps.reps == frozenset({1, 3})
-        assert seps.anchors == frozenset({1, 3})
         assert seps.separators == frozenset({1, 2, 3})
+        assert seps.above == {3: 2, 2: 1}
 
     def test_single_module_is_a_lone_representative(self, fix1):
         seps = separator_sets(fix1, fix1.vertex_set, Fraction(4, 5))
         # only v7 (cost 1) is heavy at this threshold
-        assert seps.reps == seps.anchors == seps.separators == frozenset({7})
+        assert seps.reps == seps.separators == frozenset({7})
+        assert seps.above == {}
 
     def test_spider(self):
         inst = spider_fixture()
         seps = separator_sets(inst, inst.vertex_set, 0.5)
         assert seps.reps == frozenset({4, 7, 10})
-        assert seps.anchors == frozenset({1, 4, 7, 10})
         assert seps.separators == frozenset({1, 2, 4, 6, 7, 9, 10})
+        # rooted at v4; each leg's corridor contracts through its cheapest vertex
+        assert seps.above == {1: 2, 2: 4, 7: 6, 6: 1, 10: 9, 9: 1}
 
     def test_no_heavy_vertex(self, fix1):
         with pytest.raises(NoHeavyVertex):
@@ -142,6 +146,12 @@ class TestSeparatorSets:
         inst = path5([1, "1/4", 1, "1/4", 1])
         with pytest.raises(NotConnected):
             separator_sets(inst, {1, 2, 4, 5}, 0.5)
+
+    @pytest.mark.parametrize("region, error", [(5, InvalidParameters), ({2.0}, InvalidParameters),
+                                               ({0, 1}, UnknownVertex), ({6}, UnknownVertex)])
+    def test_region_that_is_not_a_set_of_vertex_ids(self, region, error):
+        with pytest.raises(error):
+            separator_sets(path5(), region, 0.5)
 
     def test_representative_is_max_cost_smallest_id(self):
         inst = tree_instance(4, [(1, 2), (2, 3), (3, 4)], ["3/4", 1, 1, "1/4"])
@@ -173,32 +183,45 @@ def original_edges(aux):
 class TestAuxiliaryTree:
     def test_path_contraction(self):
         inst = tree_instance(3, [(1, 2), (2, 3)], [1, 1, 1])
-        aux = auxiliary_tree(inst, {1, 2, 3})
+        aux = auxiliary_tree(inst, SeparatorSets(frozenset({1, 3}), frozenset({1, 2, 3}),
+                                                 {3: 2, 2: 1}))
         assert original_edges(aux) == ((1, 2), (2, 3))
         assert aux.instance.n == 3
 
     def test_skips_non_separator_vertices(self):
-        inst = tree_instance(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [1] * 5)
-        aux = auxiliary_tree(inst, {1, 3, 5})
+        inst = tree_instance(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [1, 2, 3, 4, 5])
+        aux = auxiliary_tree(inst, SeparatorSets(frozenset({1, 5}), frozenset({1, 3, 5}),
+                                                 {5: 3, 3: 1}))
         assert aux.vertices == (1, 3, 5)
         assert original_edges(aux) == ((1, 3), (3, 5))
         assert aux.instance.edges == ((1, 2), (2, 3))
+        assert aux.instance.costs == (1, 3, 5)
 
     def test_empty_separator_set(self, fix1):
         with pytest.raises(InvalidSize):
-            auxiliary_tree(fix1, set())
+            auxiliary_tree(fix1, SeparatorSets(frozenset(), frozenset(), {}))
 
     def test_singleton(self, fix1):
-        aux = auxiliary_tree(fix1, {7})
+        aux = auxiliary_tree(fix1, SeparatorSets(frozenset({7}), frozenset({7}), {}))
         assert aux.vertices == (7,)
         assert original_edges(aux) == ()
         assert aux.instance.n == 1
         assert aux.instance.cost(1) == 1
 
+    @pytest.mark.parametrize("above", [{}, {5: 3}, {5: 3, 3: 1, 1: 5}, {5: 3, 3: 5},
+                                       {5: 4, 3: 1}, {5: 3, 3: 3}, {5: 3, 2: 1}])
+    def test_above_that_does_not_join_a_tree(self, above):
+        with pytest.raises(NotATree):
+            auxiliary_tree(path5(), SeparatorSets(frozenset({1, 5}), frozenset({1, 3, 5}), above))
+
+    def test_plain_vertex_set(self):
+        with pytest.raises(InvalidParameters):
+            auxiliary_tree(path5(), {1, 3, 5})
+
     def test_spider_contraction(self):
         inst = spider_fixture()
         seps = separator_sets(inst, inst.vertex_set, 0.5)
-        aux = auxiliary_tree(inst, seps.separators)
+        aux = auxiliary_tree(inst, seps)
         assert set(original_edges(aux)) == {(1, 2), (2, 4), (1, 6), (6, 7), (1, 9), (9, 10)}
         assert aux.instance.n == 7
         # costs carried over through the relabelling
@@ -217,24 +240,36 @@ class TestAuxiliaryTree:
                 if not any(norm.cost(v) > t for v in norm.vertex_set):
                     continue
                 seps = separator_sets(norm, norm.vertex_set, t)
-                aux = auxiliary_tree(norm, seps.separators)
+                aux = auxiliary_tree(norm, seps)
                 assert len(aux.vertices) <= 4 * k - 3
 
 
 class TestContractionAgainstPairs:
-    def test_edges_match_pairwise_definition(self):
-        rng = random.Random(97)
+    @staticmethod
+    def check(rng, sub_regions):
         for _ in range(80):
             n = rng.randint(2, 40)
             inst = oracles.random_attachment_tree(n, rng)
             inst = tree_instance(n, inst.edges, oracles.random_costs(n, rng))
             norm, _ = oracles.normalize(inst)
+            region = norm.vertex_set
+            if sub_regions:
+                region = oracles.random_connected_subset(norm, rng.randint(1, n), rng)
             for t in (0.25, 0.5, 0.75):
-                if not any(norm.cost(v) > t for v in norm.vertex_set):
+                if not any(norm.cost(v) > t for v in region):
                     continue
-                seps = separator_sets(norm, norm.vertex_set, t)
-                aux = auxiliary_tree(norm, seps.separators)
+                seps = separator_sets(norm, region, t)
+                assert seps.separators <= region
+                assert seps.separators == seps.above.keys() | {min(seps.reps)}
+                aux = auxiliary_tree(norm, seps)
                 assert original_edges(aux) == oracles.contracted_edges(norm, seps.separators)
+
+    def test_edges_match_pairwise_definition(self):
+        self.check(random.Random(97), sub_regions=False)
+
+    def test_edges_match_on_connected_sub_regions(self):
+        # The corridors are walked inside the region only.
+        self.check(random.Random(98), sub_regions=True)
 
 
 class TestAttachSubtree:
@@ -272,6 +307,12 @@ class TestAttachSubtree:
         d = DecisionTree(2, {2: (3, 4)})  # malformed partial strategy
         with pytest.raises(NotAPath):
             attach_subtree(d, inst, {1}, DecisionTree(1, {}))
+
+    @pytest.mark.parametrize("region, error", [({7}, UnknownVertex), (5, InvalidParameters)])
+    def test_region_that_is_not_a_set_of_vertex_ids(self, region, error):
+        path3 = tree_instance(3, [(1, 2), (2, 3)], [1] * 3)
+        with pytest.raises(error):
+            attach_subtree(DecisionTree(2, {}), path3, region, DecisionTree(7))
 
     def test_strategy_outside_region(self):
         with pytest.raises(QueryOutsideCandidate):
@@ -430,7 +471,7 @@ class TestCreateDecisionTree:
     def test_separator_leaving_two_modules(self, monkeypatch):
         lone = frozenset({1})
         monkeypatch.setattr("treesearch.approx.separator_sets",
-                            lambda inst, region, threshold: SeparatorSets(lone, lone, lone))
+                            lambda inst, region, threshold: SeparatorSets(lone, lone, {}))
         with pytest.raises(TreeSearchError, match="heavy modules"):
             create_decision_tree(path5([1, "1/4", 1, "1/4", 1]))
 
@@ -532,7 +573,7 @@ class TestCreateDecisionTree:
                 if not heavy:
                     continue
                 seps = separator_sets(norm, norm.vertex_set, a)
-                aux = auxiliary_tree(norm, seps.separators)
+                aux = auxiliary_tree(norm, seps)
                 assert opt_exact(aux.instance)[0] <= opt_exact(norm)[0]
                 checked += 1
                 break

@@ -19,10 +19,10 @@ from treesearch import BenchConfig, BenchReport, DecisionTree, SolveLimits, pars
 from treesearch.cli import _emit_json, build_parser, main
 
 
-def run_process(argv, timeout=120):
+def run_process(argv, timeout=120, flags=()):
     """Run the CLI in a fresh interpreter, so uncaught errors show as tracebacks."""
     env = dict(os.environ, PYTHONPATH=str(Path(treesearch.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "treesearch", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "treesearch", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
@@ -51,6 +51,13 @@ class TestSubcommands:
         doc = run_json(capsys, ["solve", "--input", str(inst_file)])
         assert set(doc) == {"cost", "depth_d", "max_aux_size", "tree"}
         assert Fraction(doc["cost"]) > 0
+
+    def test_solve_is_the_same_in_optimized_mode(self, inst_file):
+        argv = ["solve", "--input", str(inst_file)]
+        plain, optimized = run_process(argv), run_process(argv, flags=["-O"])
+        assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+        assert json.loads(plain.stdout)["max_aux_size"] > 0  # the build contracted a level
+        assert optimized.stdout == plain.stdout
 
     def test_solve_dot(self, inst_file, capsys):
         rc = main(["solve", "--input", str(inst_file), "--format", "dot"])

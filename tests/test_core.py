@@ -376,6 +376,8 @@ class TestWithinIds:
             evaluate_cost(P3, None)
         with pytest.raises(InvalidParameters):
             validate_decision_tree(P3, None)
+        with pytest.raises(InvalidParameters):
+            query_sequence(P3, None, 1)
 
     @pytest.mark.parametrize("children", [{2: 5}, 5, [(1, 2, 3)]])
     def test_child_lists_that_are_not_lists(self, children):

@@ -239,10 +239,13 @@ class TestRankingAgainstReference:
         # are compared on connected sets only.
         within = data.draw(within_sets(inst, kinds=("all", "connected")))
         labels = data.draw(labelings(inst))
-        forced = Ranking(labels)
+
+        def forced(inst, within):  # like a ranking, it labels exactly its vertex set
+            return Ranking({v: labels[v] for v in inst.subset(within)})
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("treesearch.ranking.vertex_ranking", lambda inst, within: forced)
-            patch.setattr(oracles, "reference_vertex_ranking", lambda inst, within: forced)
+            patch.setattr("treesearch.ranking.vertex_ranking", forced)
+            patch.setattr(oracles, "reference_vertex_ranking", forced)
             assert oracles.outcome(ranking_based_dt, inst, within) == oracles.outcome(
                 oracles.reference_ranking_based_dt, inst, within
             )
